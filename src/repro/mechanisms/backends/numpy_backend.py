@@ -3,10 +3,10 @@
 This module is the semantic ground truth of the kernel registry
 (:mod:`repro.mechanisms.backends`): every other backend must reproduce
 these functions draw-for-draw (where a generator is consumed) and
-bit-for-bit (where the computation is deterministic).  The public kernel
-wrappers in :mod:`repro.mechanisms.kernels` and
-:mod:`repro.mechanisms.olh` perform the argument validation; the
-functions here assume validated inputs and do only the arithmetic.
+bit-for-bit (where the computation is deterministic).  Their callers in
+:mod:`repro.mechanisms` (the ``kernels``, ``olh``, ``engine`` and
+``correlated`` modules) perform the argument validation; the functions
+here assume validated inputs and do only the arithmetic.
 """
 
 from __future__ import annotations
@@ -93,21 +93,26 @@ def grouped_scatter(
     """Per-group column sums: row ``g`` of the result accumulates the
     report rows of users with ``groups[u] == g``.
 
-    Flattens the scatter into one ``np.bincount`` over the set cells
-    (``group * width + column``) instead of ``np.add.at`` — bit-report
-    matrices are sparse in ones, and ``np.add.at``'s unbuffered fancy
-    indexing is an order-of-magnitude soft spot even when they are not.
+    Sorts the rows by group and sums each group's contiguous run: a
+    stable argsort of the group ids on a 16-bit key (NumPy radix-sorts
+    keys of 16 bits or fewer in O(n)), one row gather, then one int64
+    column sum per non-empty group.  Every step streams whole rows, so
+    the cost is one pass over the report bytes however many bits are
+    set; expanding each set bit (at OUE's ``q`` about a third of them)
+    into a (row, column) index pair costs an order of magnitude more.
+    ``bits`` may be any integer matrix, strided views included.
     """
-    width = int(bits.shape[1])
-    rows, cols = np.nonzero(bits)
-    if rows.size == 0:
-        return np.zeros((int(n_groups), width), dtype=np.int64)
-    flat = np.bincount(
-        groups[rows] * width + cols,
-        weights=bits[rows, cols],
-        minlength=int(n_groups) * width,
-    )
-    return flat.reshape(int(n_groups), width).astype(np.int64)
+    n_groups = int(n_groups)
+    out = np.zeros((n_groups, int(bits.shape[1])), dtype=np.int64)
+    key = groups.astype(np.uint16) if n_groups <= 1 << 16 else groups
+    rows = np.take(bits, np.argsort(key, kind="stable"), axis=0)
+    ends = np.cumsum(np.bincount(groups, minlength=n_groups)).tolist()
+    start = 0
+    for group, end in enumerate(ends):
+        if end > start:
+            rows[start:end].sum(axis=0, dtype=np.int64, out=out[group])
+        start = end
+    return out
 
 
 #: Kernel table exposed to the registry.

@@ -38,6 +38,7 @@ import numpy as np
 from ..exceptions import AggregationError, ConfigurationError, DomainError
 from ..rng import RngLike, ensure_rng
 from ..types import INVALID_ITEM
+from .backends import get_kernel
 from .base import check_domain_size, check_epsilon
 from .grr import GeneralizedRandomResponse, grr_probabilities
 from .kernels import as_report_matrix, perturb_onehot_batch
@@ -60,12 +61,23 @@ def fold_correlated_batch(
     streaming accumulator
     (:class:`repro.stream.accumulators.CorrelatedAccumulator`) and the
     streaming PTS-CP session, so the fold cannot drift between them.
+    The item rows of clear-flag reports are summed per perturbed label by
+    the backend registry's ``grouped_scatter`` kernel — the one PTS's
+    :func:`~repro.mechanisms.engine.grouped_batch_support` uses.  Labels
+    outside ``[0, c)`` raise :class:`AggregationError` before any array
+    changes.
     """
-    d = item_support.shape[1]
+    c, d = item_support.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    # Viewed unsigned, negative labels wrap high: one max covers both ends.
+    if labels.size and labels.view(np.uint64).max() >= c:
+        raise AggregationError(f"label outside [0, {c})")
     flag = bits[:, d].astype(bool)
-    label_counts += np.bincount(labels, minlength=label_counts.size)
-    flag_support += np.bincount(labels[flag], minlength=flag_support.size)
-    np.add.at(item_support, labels[~flag], bits[~flag, :d].astype(np.int64))
+    keep = ~flag
+    label_counts += np.bincount(labels, minlength=c)
+    flag_support += np.bincount(labels[flag], minlength=c)
+    scatter = get_kernel("grouped_scatter")
+    item_support += scatter(labels[keep], bits[keep, :d], c)
 
 
 def as_correlated_columns(reports, n_items: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,8 +264,6 @@ class CorrelatedPerturbation:
         """
         c, d = self.n_classes, self.n_items
         labels, bits = as_correlated_columns(reports, d)
-        if labels.size and (labels.min() < 0 or labels.max() >= c):
-            raise AggregationError(f"label outside [0, {c})")
         item_support = np.zeros((c, d), dtype=np.int64)
         flag_support = np.zeros(c, dtype=np.int64)
         label_counts = np.zeros(c, dtype=np.int64)

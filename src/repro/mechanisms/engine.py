@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import AggregationError, ConfigurationError
 from ..obs import metrics as _obs
 from ..rng import ensure_rng, spawn_seeds
 from .backends import active_backend, get_kernel
@@ -255,26 +255,37 @@ def grouped_batch_support(
     of users with ``groups[u] == g``.
 
     The label-grouped aggregation PTS-style sessions need — item reports
-    are scattered into the perturbed label's row instead of one global
+    are summed into the perturbed label's row instead of one global
     support.  ``oracle`` must produce fixed-width bit-vector reports of
-    ``oracle.domain_size`` bits (OUE/SUE).  The scatter itself goes
-    through the backend registry's ``grouped_scatter`` kernel (a
-    flattened ``bincount`` over set cells on NumPy — ``np.add.at`` is an
-    order-of-magnitude soft spot — or a compiled ``nogil`` loop).
-    ``threads`` behaves exactly as in :func:`batch_support`.
+    ``oracle.domain_size`` bits (OUE/SUE).  Each block's sum goes through
+    the backend registry's ``grouped_scatter`` kernel, the one PTS-CP's
+    flag-filtered fold (:func:`~repro.mechanisms.correlated.fold_correlated_batch`)
+    also uses: a group-sorted column sum on NumPy, a compiled ``nogil``
+    loop on numba.  Group ids are checked against ``[0, n_groups)`` once,
+    here, because the kernels do no bounds checks (numba compiles
+    without them).  ``threads`` behaves exactly as in
+    :func:`batch_support`.
     """
     groups = np.asarray(groups, dtype=np.int64).ravel()
     values = np.asarray(values, dtype=np.int64).ravel()
+    n_groups = int(n_groups)
+    if groups.size != values.size:
+        raise AggregationError(
+            f"groups ({groups.size}) and values ({values.size}) must align"
+        )
+    # Viewed unsigned, negative ids wrap high: one max covers both ends.
+    if groups.size and groups.view(np.uint64).max() >= n_groups:
+        raise AggregationError(f"group id outside [0, {n_groups})")
     width = int(oracle.domain_size)
     telemetry = _telemetry(oracle, values.size)
     scatter = get_kernel("grouped_scatter")
-    out = np.zeros((int(n_groups), width), dtype=np.int64)
+    out = np.zeros((n_groups, width), dtype=np.int64)
     thread_count = _resolve_threads(threads)
     if thread_count is None:
         for cut in batch_spans(values.size, width, block_elements):
             with _block_span(telemetry):
                 bits = np.asarray(oracle.privatize_many(values[cut]))
-                out += scatter(groups[cut], bits, int(n_groups))
+                out += scatter(groups[cut], bits, n_groups)
         return out
     spans = list(batch_spans(values.size, width, block_elements))
     oracles = _block_oracles(oracle, spans)
@@ -283,7 +294,7 @@ def grouped_batch_support(
         def run():
             with _block_span(telemetry):
                 bits = np.asarray(block_oracle.privatize_many(values[cut]))
-                return scatter(groups[cut], bits, int(n_groups))
+                return scatter(groups[cut], bits, n_groups)
 
         return run
 

@@ -584,9 +584,14 @@ class HostedSession:
         """Answer one control-channel query against a drained snapshot.
 
         Estimate/topk/class_sizes results are memoized per drain epoch:
-        with nothing buffered or in flight, a repeated query answers
-        straight from cache — no flush, no drain, no estimator re-run —
-        until the next drain (or mining-round advance) invalidates it.
+        with nothing buffered and every submission drained, a repeated
+        query answers straight from cache — no flush, no drain, no
+        estimator re-run — until the next drain (or mining-round advance)
+        invalidates it.  "Drained" is the adapter's ``n_drained``, which
+        the previous query's drain settled before it returned; the
+        loop-side ``_inflight`` count is not used, because its decrement
+        arrives through a done callback that may run after that query
+        has already answered.
         """
         query = spec.get("query")
         cacheable = query in CACHEABLE_QUERIES
@@ -594,7 +599,7 @@ class HostedSession:
         if (
             cacheable
             and self._buffered == 0
-            and self._inflight == 0
+            and self._drain.n_drained == self._drain.n_submitted
             and not self._lock.locked()
         ):
             entry = self._cached_query(key)

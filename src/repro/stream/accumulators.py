@@ -388,12 +388,9 @@ class CorrelatedAccumulator(SupportAccumulator):
     def ingest_batch(self, reports) -> int:
         from ..mechanisms.correlated import as_correlated_columns
 
-        c = self.n_classes
         labels, bits = as_correlated_columns(reports, self.n_items)
         if labels.size == 0:
             return 0
-        if labels.min() < 0 or labels.max() >= c:
-            raise AggregationError(f"label outside [0, {c})")
         fold_correlated_batch(
             labels, bits, self._item_support, self._flag_support, self._label_counts
         )

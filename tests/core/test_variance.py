@@ -298,3 +298,74 @@ class TestVarianceMatrices:
         assert (bound > 0).all()
         # Mean squared error within 8x the bound per cell (loose: 5 runs).
         assert (mean_err <= 8.0 * bound + 1e-9).all()
+
+
+class TestProtocolModeMonteCarlo:
+    """Seeded Monte Carlo of protocol-mode PTS and PTS-CP, the two paths
+    that sum OUE bit-vector reports per perturbed label.
+
+    Each trial privatises the same fixed population afresh.  Across the
+    trials every cell's mean estimate must sit within four standard
+    errors of the true count (unbiasedness), and its empirical variance
+    must stay under the closed form — ``pts_variance_matrix`` /
+    ``cp_variance_matrix``, both upper bounds — evaluated at the truth.
+    The truth, the budget split and the perturbation probabilities are
+    computed here from the population and ε alone, never read back from
+    a session.
+    """
+
+    TRIALS = 200
+    N_CLASSES, N_ITEMS, N_USERS = 3, 16, 5_000
+    EPSILON = 1.0
+    #: Fixed before the first run.  With 199 degrees of freedom the
+    #: sample variance of a cell whose true variance equals the bound
+    #: exceeds 1.5x it with probability about 1e-7, so across 96 cells a
+    #: failure means the estimator is noisier than the theorem allows.
+    VARIANCE_TOLERANCE = 1.5
+
+    def _population(self):
+        c, d, n = self.N_CLASSES, self.N_ITEMS, self.N_USERS
+        rng = np.random.default_rng(2025)
+        # Zipf-like items within unequal classes; some cells stay empty.
+        weights = np.outer([0.5, 0.3, 0.2], 1.0 / np.arange(1, d + 1) ** 1.5)
+        weights[2, -4:] = 0.0
+        cells = rng.choice(c * d, size=n, p=(weights / weights.sum()).ravel())
+        labels, items = np.divmod(cells, d)
+        truth = np.bincount(cells, minlength=c * d).reshape(c, d)
+        return labels, items, truth.astype(np.float64)
+
+    def _probabilities(self):
+        """GRR over the classes with ε₁ = ε/2, OUE (p₂ = ½) with ε₂ = ε/2."""
+        e1 = e2 = np.exp(self.EPSILON / 2)
+        c = self.N_CLASSES
+        return e1 / (e1 + c - 1), 1.0 / (e1 + c - 1), 0.5, 1.0 / (e2 + 1)
+
+    @pytest.mark.parametrize("framework", ["pts", "pts-cp"])
+    def test_unbiased_and_within_variance_bound(self, framework):
+        from repro.core.variance import cp_variance_matrix, pts_variance_matrix
+        from repro.stream import make_session
+
+        labels, items, truth = self._population()
+        seeds = np.random.SeedSequence([7, self.TRIALS]).spawn(self.TRIALS)
+        estimates = np.empty((self.TRIALS,) + truth.shape)
+        for trial, seed in enumerate(seeds):
+            session = make_session(
+                framework, epsilon=self.EPSILON, n_classes=self.N_CLASSES,
+                n_items=self.N_ITEMS, mode="protocol",
+                rng=np.random.default_rng(seed),
+            )
+            session.ingest_batch(labels, items)
+            estimates[trial] = session.estimate()
+
+        mean = estimates.mean(axis=0)
+        variance = estimates.var(axis=0, ddof=1)
+        standard_error = np.sqrt(variance / self.TRIALS)
+        assert (np.abs(mean - truth) <= 4.0 * standard_error).all()
+
+        closed_form = {"pts": pts_variance_matrix, "pts-cp": cp_variance_matrix}
+        bound = closed_form[framework](
+            truth, truth.sum(axis=1), float(self.N_USERS),
+            *self._probabilities(),
+        )
+        assert (bound > 0).all()
+        assert (variance <= self.VARIANCE_TOLERANCE * bound).all()

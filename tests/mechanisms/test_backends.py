@@ -10,14 +10,19 @@ file unchanged (that IS the fallback acceptance criterion).
 import numpy as np
 import pytest
 
+from repro.core.frameworks import make_framework
+from repro.datasets import zipf_multiclass
 from repro.exceptions import AggregationError, ConfigurationError
 from repro.mechanisms import (
+    CorrelatedPerturbation,
     GeneralizedRandomResponse,
     HadamardResponse,
     OptimalLocalHashing,
     OptimizedUnaryEncoding,
     Rappor,
     SymmetricUnaryEncoding,
+    fold_correlated_batch,
+    grouped_batch_support,
 )
 from repro.mechanisms import backends
 from repro.mechanisms.backends import (
@@ -30,6 +35,8 @@ from repro.mechanisms.backends import (
 )
 from repro.mechanisms.backends import numba_backend, numpy_backend
 from repro.obs import metrics as obs_metrics
+from repro.stream import make_session
+from repro.stream.accumulators import CorrelatedAccumulator
 
 
 class TestResolution:
@@ -92,6 +99,71 @@ class TestResolution:
         assert snapshot["gauges"]["kernel_backend_gil_free"] == 0.0
 
 
+# ----------------------------------------------------------------------
+# grouped_scatter: earlier implementations kept as references
+# ----------------------------------------------------------------------
+def bincount_scatter(groups, bits, n_groups):
+    """The earlier NumPy ``grouped_scatter``: every set cell becomes one
+    flattened ``group * width + column`` index of a weighted bincount."""
+    width = int(bits.shape[1])
+    rows, cols = np.nonzero(bits)
+    if rows.size == 0:
+        return np.zeros((int(n_groups), width), dtype=np.int64)
+    flat = np.bincount(
+        groups[rows] * width + cols,
+        weights=bits[rows, cols],
+        minlength=int(n_groups) * width,
+    )
+    return flat.reshape(int(n_groups), width).astype(np.int64)
+
+
+def add_at_scatter(groups, bits, n_groups):
+    """Row-level ``np.add.at``: the unbuffered definition of the sum."""
+    out = np.zeros((int(n_groups), int(bits.shape[1])), dtype=np.int64)
+    np.add.at(out, groups, bits.astype(np.int64))
+    return out
+
+
+def add_at_fold(labels, bits, n_classes, n_items):
+    """The earlier row-level ``np.add.at`` body of the PTS-CP fold:
+    ``(item_support, flag_support, label_counts)``."""
+    flag = bits[:, n_items].astype(bool)
+    item_support = np.zeros((n_classes, n_items), dtype=np.int64)
+    np.add.at(
+        item_support, labels[~flag], bits[~flag, :n_items].astype(np.int64)
+    )
+    return (
+        item_support,
+        np.bincount(labels[flag], minlength=n_classes),
+        np.bincount(labels, minlength=n_classes),
+    )
+
+
+#: ``(n_groups, width, rows, layout)``: one group up to far more groups
+#: than rows (most of them empty), one-column and CP-width reports, and
+#: the three row layouts the kernel is handed — a contiguous matrix, the
+#: PTS-CP fold's ``bits[keep, :d]`` and a column-sliced strided view.
+SCATTER_CASES = [
+    (n_groups, width, rows, layout)
+    for n_groups in (1, 2, 5, 64, 1000)
+    for width in (1, 257)
+    for rows in (0, 300)
+    for layout in ("contiguous", "cp-fold", "strided")
+]
+
+
+def _scatter_inputs(n_groups, width, rows, layout):
+    rng = np.random.default_rng([n_groups, width, rows])
+    groups = rng.integers(0, n_groups, size=rows)
+    full = (rng.random((rows, width + 1)) < 0.4).astype(np.uint8)
+    if layout == "cp-fold":
+        keep = full[:, width] == 0
+        return groups[keep], full[keep, :width]
+    if layout == "strided":
+        return groups, full[:, :width]
+    return groups, np.ascontiguousarray(full[:, :width])
+
+
 class TestNumpyKernels:
     """The reference implementations the twins are pinned against."""
 
@@ -106,14 +178,38 @@ class TestNumpyKernels:
             kernel(np.asarray([0, 5]), 5, "test")
 
     def test_grouped_scatter_matches_add_at_reference(self):
-        rng = np.random.default_rng(0)
-        groups = rng.integers(0, 7, size=500)
-        bits = (rng.random((500, 12)) < 0.3).astype(np.int64)
-        reference = np.zeros((7, 12), dtype=np.int64)
-        np.add.at(reference, groups, bits)
-        out = numpy_backend.grouped_scatter(groups, bits, 7)
-        np.testing.assert_array_equal(out, reference)
+        for case in SCATTER_CASES:
+            n_groups, width = case[:2]
+            groups, bits = _scatter_inputs(*case)
+            out = numpy_backend.grouped_scatter(groups, bits, n_groups)
+            assert out.dtype == np.int64, case
+            assert out.shape == (n_groups, width), case
+            for reference in (add_at_scatter, bincount_scatter):
+                np.testing.assert_array_equal(
+                    out, reference(groups, bits, n_groups), err_msg=str(case)
+                )
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.int64])
+    def test_grouped_scatter_sums_any_integer_matrix(self, dtype):
+        rng = np.random.default_rng(5)
+        groups = rng.integers(0, 4, size=400)
+        high = 2 if dtype is np.bool_ else 7
+        bits = rng.integers(0, high, size=(400, 9)).astype(dtype)
+        out = numpy_backend.grouped_scatter(groups, bits, 4)
         assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, add_at_scatter(groups, bits, 4))
+
+    def test_grouped_scatter_beyond_a_16_bit_group_key(self):
+        """More than 2**16 groups cannot use the 16-bit sort key; the
+        wider key must give the same sums."""
+        rng = np.random.default_rng(6)
+        n_groups = (1 << 16) + 100
+        groups = rng.integers(n_groups - 300, n_groups, size=500)
+        bits = (rng.random((500, 3)) < 0.5).astype(np.uint8)
+        np.testing.assert_array_equal(
+            numpy_backend.grouped_scatter(groups, bits, n_groups),
+            add_at_scatter(groups, bits, n_groups),
+        )
 
     def test_grouped_scatter_all_zero_bits(self):
         out = numpy_backend.grouped_scatter(
@@ -137,6 +233,114 @@ class TestNumpyKernels:
         values = np.arange(100, dtype=np.uint64)
         hashed = numpy_backend.universal_hash(values, 12345, 678, 7)
         assert hashed.min() >= 0 and hashed.max() < 7
+
+
+def _assert_out_of_range_groups_rejected(bad):
+    """``grouped_batch_support`` rejects the id before privatising
+    anything: the oracle's generator has not moved."""
+    oracle = OptimizedUnaryEncoding(1.0, 8, rng=0)
+    before = oracle.rng.bit_generator.state
+    groups = np.asarray([0, 1, 2, bad, 1])
+    with pytest.raises(AggregationError, match=r"outside \[0, 3\)"):
+        grouped_batch_support(oracle, groups, np.arange(5), 3)
+    assert oracle.rng.bit_generator.state == before
+
+
+class TestGroupedKernelConsumers:
+    """The callers of ``grouped_scatter``: PTS's grouped batch support and
+    PTS-CP's flag-filtered fold, on the active backend."""
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_grouped_batch_support_rejects_out_of_range_groups(self, bad):
+        with use_backend("numpy"):
+            _assert_out_of_range_groups_rejected(bad)
+
+    def test_grouped_batch_support_rejects_misaligned_columns(self):
+        oracle = OptimizedUnaryEncoding(1.0, 8, rng=0)
+        with pytest.raises(AggregationError, match="must align"):
+            grouped_batch_support(oracle, np.zeros(4), np.arange(5), 3)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_fold_rejects_out_of_range_labels_before_any_change(self, bad):
+        item_support = np.zeros((3, 4), dtype=np.int64)
+        flag_support = np.zeros(3, dtype=np.int64)
+        label_counts = np.zeros(3, dtype=np.int64)
+        bits = np.ones((3, 5), dtype=np.uint8)
+        with pytest.raises(AggregationError, match=r"outside \[0, 3\)"):
+            fold_correlated_batch(
+                np.asarray([0, bad, 1]), bits,
+                item_support, flag_support, label_counts,
+            )
+        assert not item_support.any()
+        assert not flag_support.any()
+        assert not label_counts.any()
+
+    @pytest.mark.parametrize(
+        "n_classes,n_items,rows",
+        [(2, 1, 0), (2, 1, 400), (5, 256, 0), (5, 256, 400), (64, 16, 400),
+         (1000, 8, 400)],
+    )
+    def test_fold_matches_add_at_reference(self, n_classes, n_items, rows):
+        rng = np.random.default_rng([n_classes, n_items, rows])
+        labels = rng.integers(0, n_classes, size=rows)
+        bits = (rng.random((rows, n_items + 1)) < 0.4).astype(np.uint8)
+        item_support = np.zeros((n_classes, n_items), dtype=np.int64)
+        flag_support = np.zeros(n_classes, dtype=np.int64)
+        label_counts = np.zeros(n_classes, dtype=np.int64)
+        fold_correlated_batch(
+            labels, bits, item_support, flag_support, label_counts
+        )
+        expected = add_at_fold(labels, bits, n_classes, n_items)
+        for got, want in zip(
+            (item_support, flag_support, label_counts), expected
+        ):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def _grouped_outputs() -> dict:
+        """Seeded state of every consumer of the grouped kernel:
+        protocol-mode PTS and PTS-CP sessions fed several batches (empty
+        and one-user batches included), the one-shot protocol frameworks
+        that delegate to them, and a correlated accumulator."""
+        rng = np.random.default_rng(31)
+        out = {}
+        for name in ("pts", "pts-cp"):
+            session = make_session(name, 1.0, 5, 40, mode="protocol", rng=12)
+            for size in (1500, 1, 0, 4000):
+                session.ingest_batch(
+                    rng.integers(0, 5, size), rng.integers(0, 40, size)
+                )
+            out[f"session-{name}"] = session.estimate()
+        dataset = zipf_multiclass(3000, 4, 24, rng=np.random.default_rng(3))
+        for name in ("pts", "pts-cp"):
+            framework = make_framework(name, 1.0, 4, 24, mode="protocol", rng=7)
+            out[f"oneshot-{name}"] = framework.estimate_frequencies(dataset)
+        mech = CorrelatedPerturbation(0.5, 0.5, n_classes=4, n_items=33, rng=9)
+        accumulator = CorrelatedAccumulator(4, 33)
+        for size in (2000, 3, 700):
+            accumulator.ingest_batch(
+                mech.privatize_many(
+                    rng.integers(0, 4, size), rng.integers(0, 33, size)
+                )
+            )
+        support = accumulator.as_correlated_support()
+        out["accumulator-items"] = support.item_support.copy()
+        out["accumulator-flags"] = support.flag_support.copy()
+        out["accumulator-labels"] = support.label_counts.copy()
+        return out
+
+    def test_reference_kernel_gives_bit_identical_state(self, monkeypatch):
+        with use_backend("numpy"):
+            current = self._grouped_outputs()
+            monkeypatch.setitem(
+                numpy_backend.KERNELS, "grouped_scatter", bincount_scatter
+            )
+            assert get_kernel("grouped_scatter") is bincount_scatter
+            reference = self._grouped_outputs()
+        assert current.keys() == reference.keys()
+        for key in current:
+            np.testing.assert_array_equal(current[key], reference[key], err_msg=key)
 
 
 class TestReportArrayFastPaths:
@@ -229,13 +433,15 @@ class TestNumbaTwins:
                 numba_backend.categorical_support(np.asarray(bad), 9)
 
     def test_grouped_scatter_twin(self):
-        rng = np.random.default_rng(4)
-        groups = rng.integers(0, 6, size=700)
-        bits = (rng.random((700, 10)) < 0.4).astype(np.int64)
-        np.testing.assert_array_equal(
-            numpy_backend.grouped_scatter(groups, bits, 6),
-            numba_backend.grouped_scatter(groups, bits, 6),
-        )
+        for case in SCATTER_CASES:
+            groups, bits = _scatter_inputs(*case)
+            twin = numba_backend.grouped_scatter(groups, bits, case[0])
+            assert twin.dtype == np.int64, case
+            np.testing.assert_array_equal(
+                numpy_backend.grouped_scatter(groups, bits, case[0]),
+                twin,
+                err_msg=str(case),
+            )
 
     @pytest.mark.parametrize("index", range(6))
     def test_estimate_equivalence_per_oracle(self, index):
@@ -250,6 +456,12 @@ class TestNumbaTwins:
                 support = oracle.aggregate_batch(reports)
                 estimates[name] = oracle.estimate(support, values_in.size)
         np.testing.assert_array_equal(estimates["numpy"], estimates["numba"])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_grouped_batch_support_rejects_out_of_range_groups(self, bad):
+        # The compiled loop has no bounds checks; the wrapper's must hold.
+        with use_backend("numba"):
+            _assert_out_of_range_groups_rejected(bad)
 
     def test_get_kernel_dispatches_to_numba(self):
         with use_backend("numba"):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.serve import ReportClient, ReportCollector, protocol
 from repro.serve.protocol import WireError
+from repro.serve.registry import HostedSession
 from repro.serve.ringbuf import (
     FlushArena,
     MIN_RING_CAPACITY,
@@ -508,6 +509,56 @@ class TestEpochCachedQueries:
         assert a1 == a2 and b1 == b2
         assert misses == 2
         assert hits == 2
+
+    def test_cache_hit_does_not_wait_for_late_drained_callbacks(
+        self, monkeypatch
+    ):
+        """A query's drain settles ``n_drained`` before the query answers,
+        but the loop-side in-flight count only drops when each future's
+        done callback hops back to the loop, and ``concurrent.futures``
+        runs those callbacks after it wakes the drain's waiter.  Holding
+        every callback back past the repeated query must not turn that
+        query into a cache miss."""
+        held = []
+
+        def held_on_drained(self, loop, n, _future):
+            held.append((self, n))
+
+        monkeypatch.setattr(HostedSession, "_on_drained", held_on_drained)
+        rng = np.random.default_rng(8)
+        labels = rng.integers(0, 3, 2000)
+        items = rng.integers(0, 32, 2000)
+        config = self._config(session="fastlane-late")
+
+        async def scenario():
+            async with ReportCollector() as collector:
+                client = await ReportClient.connect(
+                    collector.host, collector.port, **config
+                )
+                async with client:
+                    await client.send(labels, items)
+                    first = await client.estimate()
+                    second = await client.estimate()
+                    hits, misses = self._cache_counters(
+                        collector, "fastlane-late"
+                    )
+                    session = collector.registry.get("fastlane-late")
+                    held_back = session.ingest_stats()["inflight"]
+                    for _ in range(500):  # callbacks land on worker threads
+                        if sum(n for _, n in held) == labels.size:
+                            break
+                        await asyncio.sleep(0.01)
+                    for hosted, n in list(held):
+                        hosted._mark_drained(n)
+                    released = session.ingest_stats()["inflight"]
+            return first, second, hits, misses, held_back, released
+
+        first, second, hits, misses, held_back, released = run(scenario())
+        assert held_back == labels.size  # the decrements really were late
+        assert released == 0
+        np.testing.assert_array_equal(first, second)
+        assert misses == 1
+        assert hits == 1
 
 
 class TestTrickleFlusherSweep:
