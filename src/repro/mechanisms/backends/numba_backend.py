@@ -8,12 +8,13 @@ engine can dispatch independent blocks onto a thread pool and actually
 run them in parallel.
 
 Draw-for-draw equivalence with :mod:`.numpy_backend` is a hard contract
-(the seeded equivalence suite pins it): every kernel that consumes
-randomness draws its uniforms through the *caller's NumPy generator* in
-exactly the reference order and hands the resulting array to a compiled
-nogil threshold stage, so the random stream never depends on which
-backend ran.  Pure-compute kernels (hashing, counting, scatter) are
-bit-for-bit by construction.
+(the seeded equivalence suite pins it): the one-hot kernel draws its
+32-bit cells and integer thresholds through the reference's own helper
+(:func:`.numpy_backend.unary_cells`), on the *caller's NumPy generator*
+in exactly the reference order, and hands them to a compiled nogil
+threshold stage, so the random stream never depends on which backend
+ran.  Pure-compute kernels (hashing, counting, scatter) are bit-for-bit
+by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import AggregationError
-from .numpy_backend import PRIME
+from .numpy_backend import PRIME, unary_cells
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba as _numba
@@ -54,14 +55,14 @@ def version() -> str | None:
 # compiled nogil stages
 # ----------------------------------------------------------------------
 @_njit(nogil=True)
-def _threshold_onehot(u, positions, p, q):  # pragma: no cover - compiled
-    n, width = u.shape
+def _threshold_onehot(cells, positions, p_cut, q_cut):  # pragma: no cover
+    n, width = cells.shape
     out = np.empty((n, width), dtype=np.uint8)
     for i in range(n):
         for j in range(width):
-            out[i, j] = 1 if u[i, j] < q else 0
+            out[i, j] = 1 if cells[i, j] < q_cut else 0
         pos = positions[i]
-        out[i, pos] = 1 if u[i, pos] < p else 0
+        out[i, pos] = 1 if cells[i, pos] < p_cut else 0
     return out
 
 
@@ -113,10 +114,16 @@ def _grouped_scatter(groups, bits, n_groups):  # pragma: no cover
 # registry-facing wrappers (NumPy-identical signatures and semantics)
 # ----------------------------------------------------------------------
 def perturb_onehot(positions, width, p, q, rng):
-    # The uniforms come from the caller's NumPy generator in reference
-    # order; only the GIL-free thresholding is compiled.
-    u = rng.random((positions.size, width))
-    return _threshold_onehot(u, np.asarray(positions, dtype=np.int64), p, q)
+    # The cells and thresholds come from the reference's helper on the
+    # caller's NumPy generator; only the GIL-free thresholding is
+    # compiled.  uint64 thresholds hold floor(p * 2**32) = 2**32 at p = 1.
+    cells, p_cut, q_cut = unary_cells(rng, positions.size, width, p, q)
+    return _threshold_onehot(
+        cells,
+        np.asarray(positions, dtype=np.int64),
+        np.uint64(p_cut),
+        np.uint64(q_cut),
+    )
 
 
 def universal_hash(values, a, b, g):

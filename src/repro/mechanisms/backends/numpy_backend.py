@@ -11,6 +11,8 @@ here assume validated inputs and do only the arithmetic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ...exceptions import AggregationError
@@ -22,6 +24,29 @@ PRIME = (1 << 61) - 1
 HASH_BLOCK_ELEMENTS = 4_000_000
 
 
+def unary_cells(
+    rng: np.random.Generator, rows: int, width: int, p: float, q: float
+) -> tuple[np.ndarray, int, int]:
+    """Uniform 32-bit cells for ``rows`` unary reports of ``width`` bits,
+    with the integer thresholds of the ``(p, q)`` law.
+
+    Row ``u`` consumes ``ceil(width / 2)`` 64-bit words of ``rng`` in
+    order and splits each into two cells, low half first.  A report bit
+    is set when its cell is below its threshold: ``floor(p * 2**32)``
+    where the encoded bit is 1 and ``ceil(q * 2**32)`` where it is 0.
+    Both scalings are exact, and the rounding directions give realised
+    probabilities ``p - 2**-32 < p' <= p`` and ``q <= q' < q + 2**-32``,
+    so the realised budget ``ln[p'(1-q') / ((1-p')q')]`` never exceeds
+    the nominal one.  The one statement of the bit-flip law, shared by
+    :func:`perturb_onehot`, its numba twin and the oracles' per-user
+    ``perturb_bits``.
+    """
+    words = rng.integers(0, 1 << 64, size=(rows, (width + 1) // 2), dtype=np.uint64)
+    # A little-endian view puts each word's low half first on any host.
+    cells = words.astype("<u8", copy=False).view("<u4")[:, :width]
+    return cells, math.floor(p * 2.0**32), math.ceil(q * 2.0**32)
+
+
 def perturb_onehot(
     positions: np.ndarray,
     width: int,
@@ -29,13 +54,14 @@ def perturb_onehot(
     q: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Perturbed one-hot rows; row ``u`` consumes ``width`` uniforms in
-    order, so a batch is draw-for-draw identical to the per-user loop."""
-    u = rng.random((positions.size, width))
-    bits = u < q
+    """Perturbed one-hot rows drawn through :func:`unary_cells`; row ``u``
+    consumes ``ceil(width / 2)`` words in order, so a batch is
+    draw-for-draw identical to the per-user loop."""
+    cells, p_cut, q_cut = unary_cells(rng, positions.size, width, p, q)
+    bits = cells < q_cut
     rows = np.arange(positions.size)
-    bits[rows, positions] = u[rows, positions] < p
-    return bits.astype(np.uint8)
+    bits[rows, positions] = cells[rows, positions] < p_cut
+    return bits.view(np.uint8)
 
 
 def universal_hash(values: np.ndarray, a, b, g) -> np.ndarray:

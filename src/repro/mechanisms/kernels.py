@@ -101,9 +101,15 @@ def perturb_onehot_batch(
 
     The one unary-encoding perturbation kernel shared by OUE/SUE, the
     validity perturbation (whose set bit may be the flag) and the
-    correlated mechanism's item stage.  Each row consumes ``width``
-    uniforms in order, so a batch is draw-for-draw identical to the
-    per-user ``privatize`` loop on the same generator.
+    correlated mechanism's item stage.  Each row consumes
+    ``ceil(width / 2)`` 64-bit words of the generator in order, split
+    into ``width`` 32-bit cells; a bit is set when its cell is below
+    ``floor(p * 2**32)`` at ``positions[u]`` and ``ceil(q * 2**32)``
+    elsewhere (see
+    :func:`~repro.mechanisms.backends.numpy_backend.unary_cells`).  A
+    batch is therefore draw-for-draw identical to the per-user
+    ``privatize`` loop on the same generator, and the realised budget
+    never exceeds the nominal ε.
 
     Memory is ``batch × width``; callers with unbounded batches go through
     :func:`repro.mechanisms.engine.batch_support`, which blocks the input.

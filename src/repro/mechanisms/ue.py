@@ -20,6 +20,7 @@ import numpy as np
 
 from ..exceptions import AggregationError, DomainError
 from ..rng import RngLike
+from .backends.numpy_backend import unary_cells
 from .base import FrequencyOracle, calibrate_counts, pure_protocol_variance
 from .kernels import bit_matrix_support, perturb_onehot_batch
 
@@ -58,15 +59,18 @@ class UnaryEncoding(FrequencyOracle):
         return bits
 
     def perturb_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Flip each bit of an encoded vector with the (p, q) law."""
+        """Flip each bit of an encoded vector with the (p, q) law: one
+        32-bit cell per bit from :func:`unary_cells`, compared against
+        its integer threshold."""
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (self.domain_size,):
             raise AggregationError(
                 f"expected bits of shape ({self.domain_size},), got {bits.shape}"
             )
-        u = self.rng.random(self.domain_size)
-        keep_prob = np.where(bits == 1, self.p, self.q)
-        return (u < keep_prob).astype(np.uint8)
+        cells, p_cut, q_cut = unary_cells(
+            self.rng, 1, self.domain_size, self.p, self.q
+        )
+        return (cells[0] < np.where(bits == 1, p_cut, q_cut)).view(np.uint8)
 
     def privatize(self, value: int) -> np.ndarray:
         return self.perturb_bits(self.encode(value))
@@ -74,9 +78,11 @@ class UnaryEncoding(FrequencyOracle):
     def privatize_many(self, values: np.ndarray) -> np.ndarray:
         """Perturb a batch of values into a ``(batch, d)`` uint8 bit matrix.
 
-        One vectorised pass through the shared one-hot kernel; each row is
-        draw-for-draw identical to :meth:`privatize` on the same
-        generator.  Memory is ``batch × d`` — unbounded batches go through
+        One vectorised pass through the shared one-hot kernel.  Each row
+        consumes ``ceil(d / 2)`` 64-bit words of the generator, split into
+        ``d`` 32-bit cells, so it is draw-for-draw identical to
+        :meth:`privatize` on the same generator.  Memory is ``batch × d``
+        — unbounded batches go through
         :func:`repro.mechanisms.engine.batch_support`.
         """
         values = np.asarray(values, dtype=np.int64).ravel()

@@ -31,6 +31,7 @@ import numpy as np
 from ..exceptions import AggregationError, DomainError
 from ..rng import RngLike
 from ..types import INVALID_ITEM
+from .backends.numpy_backend import unary_cells
 from .base import FrequencyOracle
 from .kernels import as_report_matrix, perturb_onehot_batch
 
@@ -101,15 +102,18 @@ class ValidityPerturbation(FrequencyOracle):
         return bits
 
     def perturb_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Flip each of the ``d + 1`` bits with the (p, q) law."""
+        """Flip each of the ``d + 1`` bits with the (p, q) law: one 32-bit
+        cell per bit from :func:`unary_cells`, compared against its
+        integer threshold."""
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (self.report_length,):
             raise AggregationError(
                 f"expected bits of shape ({self.report_length},), got {bits.shape}"
             )
-        u = self.rng.random(self.report_length)
-        keep_prob = np.where(bits == 1, self.p, self.q)
-        return (u < keep_prob).astype(np.uint8)
+        cells, p_cut, q_cut = unary_cells(
+            self.rng, 1, self.report_length, self.p, self.q
+        )
+        return (cells[0] < np.where(bits == 1, p_cut, q_cut)).view(np.uint8)
 
     def privatize(self, value: int) -> np.ndarray:
         return self.perturb_bits(self.encode(value))
@@ -119,8 +123,10 @@ class ValidityPerturbation(FrequencyOracle):
 
         Negative values (:data:`~repro.types.INVALID_ITEM`) set the
         validity flag instead of an item bit; everything then flips with
-        the ``(p, q)`` law in one vectorised pass, draw-for-draw identical
-        to :meth:`privatize`.
+        the ``(p, q)`` law in one vectorised pass.  Each row consumes
+        ``ceil((d + 1) / 2)`` 64-bit words of the generator, split into
+        ``d + 1`` 32-bit cells, so it is draw-for-draw identical to
+        :meth:`privatize`.
         """
         values = np.asarray(values, dtype=np.int64).ravel()
         if values.size and values.max() >= self.domain_size:

@@ -301,17 +301,21 @@ class TestVarianceMatrices:
 
 
 class TestProtocolModeMonteCarlo:
-    """Seeded Monte Carlo of protocol-mode PTS and PTS-CP, the two paths
-    that sum OUE bit-vector reports per perturbed label.
+    """Seeded Monte Carlo of the four frameworks in protocol mode, every
+    one of which privatises items as OUE bit-vector reports at this shape
+    (PTS and PTS-CP summed per perturbed label, PTJ over the joint
+    domain, HEC per group).
 
     Each trial privatises the same fixed population afresh.  Across the
     trials every cell's mean estimate must sit within four standard
-    errors of the true count (unbiasedness), and its empirical variance
-    must stay under the closed form — ``pts_variance_matrix`` /
-    ``cp_variance_matrix``, both upper bounds — evaluated at the truth.
-    The truth, the budget split and the perturbation probabilities are
-    computed here from the population and ε alone, never read back from
-    a session.
+    errors of the true count (unbiasedness; for HEC, of the true count
+    plus its Theorem-4 deniability term), and its empirical variance
+    must agree with the framework's closed form evaluated at the truth:
+    under ``pts_variance_matrix`` / ``cp_variance_matrix`` /
+    ``hec_variance_matrix``, and within a factor of
+    ``ldp_variance_matrix``, which is exact for PTJ.  The truth, the
+    budget split and the perturbation probabilities are computed here
+    from the population and ε alone, never read back from a session.
     """
 
     TRIALS = 200
@@ -340,14 +344,11 @@ class TestProtocolModeMonteCarlo:
         c = self.N_CLASSES
         return e1 / (e1 + c - 1), 1.0 / (e1 + c - 1), 0.5, 1.0 / (e2 + 1)
 
-    @pytest.mark.parametrize("framework", ["pts", "pts-cp"])
-    def test_unbiased_and_within_variance_bound(self, framework):
-        from repro.core.variance import cp_variance_matrix, pts_variance_matrix
+    def _estimates(self, framework, labels, items):
         from repro.stream import make_session
 
-        labels, items, truth = self._population()
         seeds = np.random.SeedSequence([7, self.TRIALS]).spawn(self.TRIALS)
-        estimates = np.empty((self.TRIALS,) + truth.shape)
+        estimates = np.empty((self.TRIALS, self.N_CLASSES, self.N_ITEMS))
         for trial, seed in enumerate(seeds):
             session = make_session(
                 framework, epsilon=self.EPSILON, n_classes=self.N_CLASSES,
@@ -356,6 +357,14 @@ class TestProtocolModeMonteCarlo:
             )
             session.ingest_batch(labels, items)
             estimates[trial] = session.estimate()
+        return estimates
+
+    @pytest.mark.parametrize("framework", ["pts", "pts-cp"])
+    def test_unbiased_and_within_variance_bound(self, framework):
+        from repro.core.variance import cp_variance_matrix, pts_variance_matrix
+
+        labels, items, truth = self._population()
+        estimates = self._estimates(framework, labels, items)
 
         mean = estimates.mean(axis=0)
         variance = estimates.var(axis=0, ddof=1)
@@ -366,6 +375,55 @@ class TestProtocolModeMonteCarlo:
         bound = closed_form[framework](
             truth, truth.sum(axis=1), float(self.N_USERS),
             *self._probabilities(),
+        )
+        assert (bound > 0).all()
+        assert (variance <= self.VARIANCE_TOLERANCE * bound).all()
+
+    def _oue(self, domain_size):
+        """OUE's ``(p, q)`` over the whole budget; both PTJ's joint domain
+        and HEC's item domain are past GRR's ``d < 3e^ε + 2`` range."""
+        assert domain_size >= 3.0 * np.exp(self.EPSILON) + 2.0
+        return 0.5, 1.0 / (np.exp(self.EPSILON) + 1.0)
+
+    def test_ptj_unbiased_and_matches_exact_variance(self):
+        from repro.core.variance import ldp_variance_matrix
+
+        labels, items, truth = self._population()
+        estimates = self._estimates("ptj", labels, items)
+
+        mean = estimates.mean(axis=0)
+        variance = estimates.var(axis=0, ddof=1)
+        standard_error = np.sqrt(variance / self.TRIALS)
+        assert (np.abs(mean - truth) <= 4.0 * standard_error).all()
+
+        exact = ldp_variance_matrix(
+            truth, float(self.N_USERS), *self._oue(self.N_CLASSES * self.N_ITEMS)
+        )
+        assert (exact > 0).all()
+        # Two-sided: the closed form is the exact variance of PTJ's
+        # calibrated count, so the same 1.5 factor bounds it from below.
+        assert (variance <= self.VARIANCE_TOLERANCE * exact).all()
+        assert (variance >= exact / self.VARIANCE_TOLERANCE).all()
+
+    def test_hec_unbiased_up_to_deniability_and_within_variance_bound(self):
+        from repro.core.variance import hec_variance_matrix
+
+        labels, items, truth = self._population()
+        estimates = self._estimates("hec", labels, items)
+
+        # Theorem 4: every user of another class reports a uniformly
+        # random item, adding (N - n_C) / d to each cell of class C.
+        class_sizes = truth.sum(axis=1)
+        expected = truth + ((self.N_USERS - class_sizes) / self.N_ITEMS)[:, None]
+        mean = estimates.mean(axis=0)
+        variance = estimates.var(axis=0, ddof=1)
+        standard_error = np.sqrt(variance / self.TRIALS)
+        assert (np.abs(mean - expected) <= 4.0 * standard_error).all()
+
+        # Groups are drawn iid per user, so their expected size is N / c.
+        group_sizes = np.full(self.N_CLASSES, self.N_USERS / self.N_CLASSES)
+        bound = hec_variance_matrix(
+            expected, group_sizes, float(self.N_USERS), *self._oue(self.N_ITEMS)
         )
         assert (bound > 0).all()
         assert (variance <= self.VARIANCE_TOLERANCE * bound).all()

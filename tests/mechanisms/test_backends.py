@@ -392,14 +392,21 @@ class TestNumbaTwins:
         assert set(numba_backend.KERNELS) == set(numpy_backend.KERNELS)
 
     def test_perturb_onehot_draw_for_draw(self):
-        positions = np.random.default_rng(0).integers(0, 16, size=400)
-        reference = numpy_backend.perturb_onehot(
-            positions, 16, 0.75, 0.25, np.random.default_rng(7)
-        )
-        compiled = numba_backend.perturb_onehot(
-            positions, 16, 0.75, 0.25, np.random.default_rng(7)
-        )
-        np.testing.assert_array_equal(reference, compiled)
+        """Odd widths leave half a word unused per row; p = 1 puts the
+        set-bit threshold at 2**32, past every 32-bit cell."""
+        oue_q = 1.0 / (np.exp(0.5) + 1.0)
+        for width in (1, 2, 9, 16, 257, 4097):
+            for p, q in ((0.5, oue_q), (0.75, 0.25), (1.0, 0.25)):
+                positions = np.random.default_rng(0).integers(0, width, size=400)
+                reference = numpy_backend.perturb_onehot(
+                    positions, width, p, q, np.random.default_rng(7)
+                )
+                compiled = numba_backend.perturb_onehot(
+                    positions, width, p, q, np.random.default_rng(7)
+                )
+                np.testing.assert_array_equal(
+                    reference, compiled, err_msg=f"width={width} p={p} q={q}"
+                )
 
     def test_universal_hash_bit_for_bit(self):
         rng = np.random.default_rng(1)

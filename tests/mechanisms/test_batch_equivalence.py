@@ -67,8 +67,9 @@ class TestExactAggregation:
 
 
 class TestDrawIdenticalKernels:
-    """The one-hot and Bloom kernels consume uniforms row-major, so the
-    batch is draw-for-draw the per-user loop on the same generator."""
+    """The one-hot kernel (a fixed ``ceil(width / 2)`` words per row) and
+    the Bloom kernel consume the generator row-major, so the batch is
+    draw-for-draw the per-user loop on the same generator."""
 
     @pytest.mark.parametrize("name", ["oue", "sue", "vp", "rappor"])
     def test_privatize_many_equals_privatize_loop(self, name):
@@ -145,8 +146,8 @@ class TestEngine:
         assert support.sum() == 500
 
     def test_blocked_equals_unblocked_for_row_major_kernels(self):
-        """The one-hot kernel consumes uniforms row-major, so block
-        boundaries do not change the reports."""
+        """The one-hot kernel consumes a fixed number of words per row,
+        row-major, so block boundaries do not change the reports."""
         values = np.random.default_rng(8).integers(0, 9, size=120)
         blocked = batch_support(
             OptimizedUnaryEncoding(EPS, 9, rng=np.random.default_rng(3)),
