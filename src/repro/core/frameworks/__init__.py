@@ -9,9 +9,9 @@ from typing import Optional
 from ...exceptions import ConfigurationError
 from ...rng import RngLike
 from .base import MODES, MulticlassFramework, split_counts_into_groups
-from .hec import HECFramework, simulate_hec_group_support
+from .hec import HECFramework
 from .ptj import PTJFramework
-from .pts import PTSFramework, route_labels_grr
+from .pts import PTSFramework
 from .pts_cp import PTSCPFramework
 
 #: Registry of framework constructors keyed by paper name.
@@ -64,7 +64,5 @@ __all__ = [
     "PTSCPFramework",
     "PTSFramework",
     "make_framework",
-    "route_labels_grr",
-    "simulate_hec_group_support",
     "split_counts_into_groups",
 ]

@@ -15,10 +15,13 @@ Every framework supports two execution modes:
 ``"protocol"``
     The literal wire protocol: one report per user, privatised and
     aggregated in vectorised batches through the report-plane engine
-    (:mod:`repro.mechanisms.engine`).  One-shot protocol runs are simply
-    a stream of one batch: the framework routes the dataset through its
-    :class:`~repro.stream.session.OnlineFrameworkSession`, so the
-    one-shot and streaming paths share a single ingest/estimate core.
+    (:mod:`repro.mechanisms.engine`).
+
+A framework is a configuration; its one implementation is its
+:class:`~repro.stream.session.OnlineFrameworkSession`.  A one-shot run is
+a stream of one batch in both modes: a fresh session folds in the whole
+dataset — its cached pair counts in simulate mode, its users in protocol
+mode — and answers ``estimate()``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ import numpy as np
 
 from ...datasets.base import LabelItemDataset
 from ...exceptions import ConfigurationError
-from ...mechanisms.base import check_domain_size, check_epsilon
-from ...rng import RngLike, ensure_rng
+from ...rng import RngLike, ensure_rng, spawn
 
 #: The two execution modes accepted by every framework.
 MODES = ("simulate", "protocol")
@@ -61,13 +63,25 @@ class MulticlassFramework(abc.ABC):
         mode: str = "simulate",
         rng: RngLike = None,
     ) -> None:
-        self.epsilon = check_epsilon(epsilon)
-        self.n_classes = check_domain_size(n_classes)
-        self.n_items = check_domain_size(n_items)
-        if mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-        self.mode = mode
+        from ...stream.session import make_session
+
         self.rng = ensure_rng(rng)
+        # Validates the configuration and holds the mechanisms whose
+        # probabilities and report sizes the subclasses expose; it never
+        # ingests.  Split-budget subclasses set ``label_fraction`` first.
+        self._session = make_session(
+            self.name,
+            epsilon=epsilon,
+            n_classes=n_classes,
+            n_items=n_items,
+            mode=mode,
+            rng=self.rng,
+            label_fraction=getattr(self, "label_fraction", None),
+        )
+        self.epsilon = self._session.epsilon
+        self.n_classes = self._session.n_classes
+        self.n_items = self._session.n_items
+        self.mode = mode
 
     # ------------------------------------------------------------------
     # public API
@@ -75,12 +89,20 @@ class MulticlassFramework(abc.ABC):
     def estimate_frequencies(
         self, dataset: LabelItemDataset, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Run the framework end to end and return estimated pair counts."""
+        """Run the framework end to end and return estimated pair counts.
+
+        A fresh session drawing from ``rng`` (default: the framework's
+        generator) ingests the dataset as one batch and answers
+        ``estimate()``.  Simulate mode folds in the dataset's cached
+        :meth:`~repro.datasets.base.LabelItemDataset.pair_counts`.
+        """
         self._check_dataset(dataset)
-        rng = rng if rng is not None else self.rng
+        session = self._session._clone_config(rng)
         if self.mode == "simulate":
-            return self._estimate_simulated(dataset, rng)
-        return self._estimate_protocol(dataset, rng)
+            session.ingest_counts(dataset.pair_counts())
+        else:
+            session.ingest_batch(dataset.labels, dataset.items)
+        return session.estimate()
 
     @abc.abstractmethod
     def communication_bits_per_user(self) -> int:
@@ -95,56 +117,9 @@ class MulticlassFramework(abc.ABC):
         give the session its own stream; it defaults to a child of this
         framework's generator so framework and session stay independent.
         """
-        from ...rng import spawn
-        from ...stream.session import make_session
-
         if rng is None:
             rng = spawn(self.rng, 1)[0]
-        return make_session(
-            self.name,
-            epsilon=self.epsilon,
-            n_classes=self.n_classes,
-            n_items=self.n_items,
-            mode=self.mode,
-            rng=rng,
-            label_fraction=getattr(self, "label_fraction", None),
-        )
-
-    # ------------------------------------------------------------------
-    # subclass hooks
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _estimate_simulated(
-        self, dataset: LabelItemDataset, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sufficient-statistic path."""
-
-    def _estimate_protocol(
-        self, dataset: LabelItemDataset, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-user report path: the dataset as a stream of one batch.
-
-        Delegates to the framework's online session, whose protocol-mode
-        ingest privatises and aggregates through the vectorised report
-        plane — there is exactly one protocol implementation per
-        framework, shared by one-shot and streaming execution.  (For HEC
-        this assigns users to class groups iid-uniformly, the streaming
-        law; the calibration divides by realised group sizes, so the
-        estimates stay unbiased.)
-        """
-        from ...stream.session import make_session
-
-        session = make_session(
-            self.name,
-            epsilon=self.epsilon,
-            n_classes=self.n_classes,
-            n_items=self.n_items,
-            mode="protocol",
-            rng=rng,
-            label_fraction=getattr(self, "label_fraction", None),
-        )
-        session.ingest_batch(dataset.labels, dataset.items)
-        return session.estimate()
+        return self._session._clone_config(rng)
 
     # ------------------------------------------------------------------
     # helpers
@@ -164,6 +139,25 @@ class MulticlassFramework(abc.ABC):
             f"n_classes={self.n_classes!r}, n_items={self.n_items!r}, "
             f"mode={self.mode!r})"
         )
+
+
+class SplitBudgetFramework(MulticlassFramework):
+    """A framework that splits ε between the label (ε₁) and the item (ε₂);
+    ``label_fraction`` is ε₁'s share (paper default 0.5)."""
+
+    def __init__(
+        self,
+        epsilon: float,
+        n_classes: int,
+        n_items: int,
+        label_fraction: float = 0.5,
+        mode: str = "simulate",
+        rng: RngLike = None,
+    ) -> None:
+        self.label_fraction = float(label_fraction)
+        super().__init__(epsilon, n_classes, n_items, mode=mode, rng=rng)
+        self.epsilon1 = self._session.epsilon1
+        self.epsilon2 = self._session.epsilon2
 
 
 def split_counts_into_groups(

@@ -11,12 +11,6 @@ drawback (Section V-C, Table II).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ...datasets.base import LabelItemDataset
-from ...mechanisms.adaptive import make_adaptive
-from ...rng import RngLike
-from ..estimators import calibrate_ptj
 from .base import MulticlassFramework
 
 
@@ -25,36 +19,10 @@ class PTJFramework(MulticlassFramework):
 
     name = "ptj"
 
-    def __init__(
-        self,
-        epsilon: float,
-        n_classes: int,
-        n_items: int,
-        mode: str = "simulate",
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__(epsilon, n_classes, n_items, mode=mode, rng=rng)
-        self._oracle = make_adaptive(
-            self.epsilon, self.n_classes * self.n_items, rng=self.rng
-        )
-
     @property
     def oracle_name(self) -> str:
         """Which oracle the adaptive rule selected ("grr" or "oue")."""
-        return self._oracle.name
+        return self._session._oracle.name
 
     def communication_bits_per_user(self) -> int:
-        return self._oracle.communication_bits()
-
-    def _estimate_simulated(
-        self, dataset: LabelItemDataset, rng: np.random.Generator
-    ) -> np.ndarray:
-        flat_counts = dataset.pair_counts().ravel()
-        support = self._oracle.simulate_support(flat_counts, rng=rng)
-        return calibrate_ptj(
-            support,
-            dataset.n_users,
-            self._oracle.p,
-            self._oracle.q,
-            self.n_classes,
-        )
+        return self._session._oracle.communication_bits()

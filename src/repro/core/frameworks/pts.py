@@ -12,120 +12,32 @@ cross-class noise the correlated mechanism (:mod:`.pts_cp`) then removes.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ...datasets.base import LabelItemDataset
-from ...exceptions import ConfigurationError
-from ...mechanisms.budget import split_budget
-from ...mechanisms.grr import GeneralizedRandomResponse
-from ...mechanisms.ue import OptimizedUnaryEncoding
-from ...rng import RngLike
-from ..estimators import calibrate_pts
-from .base import MulticlassFramework
+from .base import SplitBudgetFramework
 
 
-def route_labels_grr(
-    pair_counts: np.ndarray, p1: float, rng: np.random.Generator
-) -> np.ndarray:
-    """GRR-route users by label: returns ``(c, d)`` counts of users
-    reported under each label, preserving their true items.
-
-    Module-level so the streaming session
-    (:class:`repro.stream.session.OnlinePTS`) shares the exact routing law
-    with the one-shot framework.
-    """
-    counts = np.asarray(pair_counts, dtype=np.int64)
-    c = counts.shape[0]
-    stay = rng.binomial(counts, p1)
-    leavers = counts - stay
-    routed = stay.astype(np.int64)
-    uniform_others = np.full(c - 1, 1.0 / (c - 1))
-    for origin in range(c):
-        row = leavers[origin]
-        total = int(row.sum())
-        if total == 0:
-            continue
-        destinations = rng.multinomial(row, uniform_others)
-        others = np.delete(np.arange(c), origin)
-        routed[others] += destinations.T
-    return routed
-
-
-class PTSFramework(MulticlassFramework):
+class PTSFramework(SplitBudgetFramework):
     """Split-budget framework: GRR labels (ε₁) + OUE items (ε₂)."""
 
     name = "pts"
 
-    def __init__(
-        self,
-        epsilon: float,
-        n_classes: int,
-        n_items: int,
-        label_fraction: float = 0.5,
-        mode: str = "simulate",
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__(epsilon, n_classes, n_items, mode=mode, rng=rng)
-        if self.n_classes < 2:
-            raise ConfigurationError(
-                "PTS needs at least two classes (with one class the label "
-                "perturbation is vacuous; use a plain frequency oracle)"
-            )
-        self.label_fraction = float(label_fraction)
-        self.epsilon1, self.epsilon2 = split_budget(epsilon, label_fraction)
-        self._label_oracle = GeneralizedRandomResponse(
-            self.epsilon1, self.n_classes, rng=self.rng
-        )
-        self._item_oracle = OptimizedUnaryEncoding(
-            self.epsilon2, self.n_items, rng=self.rng
-        )
-
     @property
     def p1(self) -> float:
-        return self._label_oracle.p
+        return self._session._label_oracle.p
 
     @property
     def q1(self) -> float:
-        return self._label_oracle.q
+        return self._session._label_oracle.q
 
     @property
     def p2(self) -> float:
-        return self._item_oracle.p
+        return self._session._item_oracle.p
 
     @property
     def q2(self) -> float:
-        return self._item_oracle.q
+        return self._session._item_oracle.q
 
     def communication_bits_per_user(self) -> int:
         return (
-            self._label_oracle.communication_bits()
-            + self._item_oracle.communication_bits()
-        )
-
-    # ------------------------------------------------------------------
-    # simulate path
-    # ------------------------------------------------------------------
-    def _route_labels(
-        self, pair_counts: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return route_labels_grr(pair_counts, self.p1, rng)
-
-    def _estimate_simulated(
-        self, dataset: LabelItemDataset, rng: np.random.Generator
-    ) -> np.ndarray:
-        counts = dataset.pair_counts()
-        routed = self._route_labels(counts, rng)
-        label_counts = routed.sum(axis=1)
-        p2, q2 = self.p2, self.q2
-        ones = rng.binomial(routed, p2)
-        zeros = rng.binomial(label_counts[:, None] - routed, q2)
-        pair_support = ones + zeros
-        return calibrate_pts(
-            pair_support,
-            label_counts,
-            dataset.n_users,
-            self.p1,
-            self.q1,
-            p2,
-            q2,
+            self._session._label_oracle.communication_bits()
+            + self._session._item_oracle.communication_bits()
         )

@@ -10,53 +10,19 @@ frequency estimation (Sections IV-B, VI-A).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ...datasets.base import LabelItemDataset
-from ...exceptions import ConfigurationError
-from ...mechanisms.budget import split_budget
 from ...mechanisms.correlated import CorrelatedPerturbation
-from ...rng import RngLike
-from .base import MulticlassFramework
+from .base import SplitBudgetFramework
 
 
-class PTSCPFramework(MulticlassFramework):
+class PTSCPFramework(SplitBudgetFramework):
     """Correlated-perturbation framework (the paper's PTS-CP)."""
 
     name = "pts-cp"
 
-    def __init__(
-        self,
-        epsilon: float,
-        n_classes: int,
-        n_items: int,
-        label_fraction: float = 0.5,
-        mode: str = "simulate",
-        rng: RngLike = None,
-    ) -> None:
-        super().__init__(epsilon, n_classes, n_items, mode=mode, rng=rng)
-        if self.n_classes < 2:
-            raise ConfigurationError("PTS-CP needs at least two classes")
-        self.label_fraction = float(label_fraction)
-        self.epsilon1, self.epsilon2 = split_budget(epsilon, label_fraction)
-        self._mechanism = CorrelatedPerturbation(
-            self.epsilon1,
-            self.epsilon2,
-            n_classes=self.n_classes,
-            n_items=self.n_items,
-            rng=self.rng,
-        )
-
     @property
     def mechanism(self) -> CorrelatedPerturbation:
         """The underlying correlated mechanism (exposes p1/q1/p2/q2)."""
-        return self._mechanism
+        return self._session._mechanism
 
     def communication_bits_per_user(self) -> int:
-        return self._mechanism.communication_bits()
-
-    def _estimate_simulated(
-        self, dataset: LabelItemDataset, rng: np.random.Generator
-    ) -> np.ndarray:
-        support = self._mechanism.simulate_support(dataset.pair_counts(), rng=rng)
-        return self._mechanism.estimate(support)
+        return self._session._mechanism.communication_bits()

@@ -34,7 +34,7 @@ from ...datasets.base import LabelItemDataset
 from ...exceptions import ConfigurationError, DomainError
 from ...mechanisms.base import check_epsilon
 from ...mechanisms.budget import split_budget
-from ...mechanisms.grr import grr_probabilities
+from ...mechanisms.grr import grr_probabilities, route_labels_grr
 from ...rng import RngLike, ensure_rng
 from ..frameworks.base import split_counts_into_groups
 from .candidate import CandidateGenerationResult, generate_candidates
@@ -540,7 +540,8 @@ class MultiClassTopK:
                 prefix_depth = start_bits
 
         # --- label routing (GRR, ε₁) ----------------------------------
-        native, foreign = self._route_pts(class_counts, rng)
+        p1, _q1 = grr_probabilities(self.epsilon1, c)
+        native, foreign = route_labels_grr(class_counts, p1, rng)
         inflows = native.sum(axis=1) + foreign.sum(axis=1)
         n_phase2 = int(class_counts.sum())
         expected = self._expected_class_sizes(generation, inflows, n_phase2)
@@ -569,32 +570,6 @@ class MultiClassTopK:
             )
             result[label] = mined.top_items
         return result
-
-    def _route_pts(
-        self, pair_counts: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """GRR-route phase-2 users by perturbed label.
-
-        Returns ``(native, foreign)``: ``native[C]`` are users whose true
-        label is ``C`` and whose perturbed label stayed ``C`` (by item);
-        ``foreign[C]`` are users routed into ``C`` by a label flip.
-        """
-        c = self.n_classes
-        p1, _q1 = grr_probabilities(self.epsilon1, c)
-        if c == 1:
-            return pair_counts.astype(np.int64), np.zeros_like(pair_counts)
-        stay = rng.binomial(pair_counts, p1)
-        leavers = pair_counts - stay
-        foreign = np.zeros_like(pair_counts)
-        uniform_others = np.full(c - 1, 1.0 / (c - 1))
-        for origin in range(c):
-            row = leavers[origin]
-            if not row.sum():
-                continue
-            destinations = rng.multinomial(row, uniform_others)
-            others = np.delete(np.arange(c), origin)
-            foreign[others] += destinations.T
-        return stay.astype(np.int64), foreign
 
     def _expected_class_sizes(
         self,

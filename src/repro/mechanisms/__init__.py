@@ -34,7 +34,7 @@ from .correlated import (
     fold_correlated_batch,
 )
 from .engine import batch_spans, batch_support, grouped_batch_support
-from .grr import GeneralizedRandomResponse, grr_probabilities
+from .grr import GeneralizedRandomResponse, grr_probabilities, route_labels_grr
 from .hadamard import HadamardResponse
 from .olh import OptimalLocalHashing
 from .rappor import Rappor
@@ -71,6 +71,7 @@ __all__ = [
     "make_adaptive",
     "oue_probabilities",
     "pure_protocol_variance",
+    "route_labels_grr",
     "split_budget",
     "ue_epsilon",
 ]

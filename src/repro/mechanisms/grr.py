@@ -142,3 +142,32 @@ def grr_probabilities(epsilon: float, domain_size: int) -> tuple[float, float]:
     if d == 1:
         return 1.0, 0.0
     return e / (e + d - 1.0), 1.0 / (e + d - 1.0)
+
+
+def route_labels_grr(
+    pair_counts: np.ndarray, p: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """GRR-route a ``(c, d)`` matrix of users by label, keeping their items.
+
+    Each user keeps her label with probability ``p`` and otherwise moves
+    to one of the other ``c - 1`` labels uniformly.  Returns ``(stayed,
+    arrived)``, both ``(c, d)``: ``stayed[C]`` counts the users of label
+    ``C`` who kept it, ``arrived[C]`` the users a flip moved into ``C``.
+    With one label nobody moves and nothing is drawn.
+    """
+    counts = np.array(pair_counts, dtype=np.int64)
+    c = counts.shape[0]
+    arrived = np.zeros_like(counts)
+    if c == 1:
+        return counts, arrived
+    stayed = rng.binomial(counts, p)
+    leavers = counts - stayed
+    uniform_others = np.full(c - 1, 1.0 / (c - 1))
+    for origin in range(c):
+        row = leavers[origin]
+        if not row.sum():
+            continue
+        destinations = rng.multinomial(row, uniform_others)
+        others = np.delete(np.arange(c), origin)
+        arrived[others] += destinations.T
+    return stayed, arrived

@@ -19,16 +19,15 @@ the same estimates as a single session.  Sessions checkpoint to ``.npz``
 :meth:`~OnlineFrameworkSession.load`).
 
 Both framework execution modes are supported per batch: ``"simulate"``
-draws the batch's sufficient statistics exactly (fast path — LDP noise is
-iid per user, so batch-wise simulation induces the same law as the
-one-shot run), ``"protocol"`` privatises each user's report through the
-report-plane engine (:mod:`repro.mechanisms.engine`) — the same blockwise
-``privatize_many`` → ``aggregate_batch`` primitive the one-shot
-frameworks and the top-k miners use.  Streaming HEC differs from the
-one-shot framework in one place: users are assigned to class groups
-iid-uniformly on arrival rather than by an exact partition of the final
-population, since a stream's total size is unknown; the calibration
-divides by realised group sizes, so estimates stay unbiased.
+draws the batch's sufficient statistics exactly from its ``(c, d)`` pair
+counts (fast path — LDP noise is iid per user, so batch-wise simulation
+induces the same law as one pass over all users), ``"protocol"``
+privatises each user's report through the report-plane engine
+(:mod:`repro.mechanisms.engine`) — the same blockwise ``privatize_many``
+→ ``aggregate_batch`` primitive the top-k miners use.  These sessions are
+the frameworks' only implementation:
+:meth:`~repro.core.frameworks.base.MulticlassFramework.estimate_frequencies`
+is a session fed the whole dataset as one batch, in both modes.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ from ..core.variance import (
     ldp_variance_matrix,
     pts_variance_matrix,
 )
-from ..core.frameworks.hec import simulate_hec_group_support
-from ..core.frameworks.pts import route_labels_grr
 from ..core.topk.reporting import topk_per_class
 from ..exceptions import ConfigurationError, DomainError, ProtocolError
 from ..mechanisms.adaptive import make_adaptive
@@ -58,7 +55,7 @@ from ..mechanisms.base import check_domain_size, check_epsilon
 from ..mechanisms.budget import split_budget
 from ..mechanisms.correlated import CorrelatedPerturbation, CorrelatedSupport
 from ..mechanisms.engine import batch_support, grouped_batch_support
-from ..mechanisms.grr import GeneralizedRandomResponse
+from ..mechanisms.grr import GeneralizedRandomResponse, route_labels_grr
 from ..mechanisms.ue import OptimizedUnaryEncoding
 from ..obs import metrics as _obs
 from ..rng import RngLike, ensure_rng
@@ -126,10 +123,43 @@ class OnlineFrameworkSession:
         if items.min() < 0 or items.max() >= self.n_items:
             raise DomainError(f"items outside [0, {self.n_items})")
         if self.mode == "simulate":
-            self._ingest_simulated(labels, items)
+            self._ingest_simulated(self._batch_pair_counts(labels, items))
         else:
             self._ingest_protocol(labels, items)
-        self._n += labels.size
+        return self._count_ingested(labels.size)
+
+    def ingest_counts(self, pair_counts) -> int:
+        """Ingest one batch given as its ``(c, d)`` matrix of user counts
+        per (label, item) cell; returns the batch size.
+
+        Simulate mode only: its draws depend on a batch through these
+        counts alone, so this folds the same batch as :meth:`ingest_batch`
+        with the same draws, without recounting labels and items.
+        """
+        if self.mode != "simulate":
+            raise ConfigurationError(
+                "ingest_counts needs simulate mode; protocol mode privatises "
+                "one report per user, so feed it ingest_batch"
+            )
+        counts = np.asarray(pair_counts)
+        if counts.shape != (self.n_classes, self.n_items):
+            raise DomainError(
+                f"pair counts have shape {counts.shape}, expected "
+                f"{(self.n_classes, self.n_items)}"
+            )
+        if counts.dtype.kind not in "iu":
+            raise DomainError(f"pair counts must be integers, got {counts.dtype}")
+        if counts.min() < 0:
+            raise DomainError("pair counts must be non-negative")
+        counts = counts.astype(np.int64, copy=False)
+        n = int(counts.sum())
+        if n == 0:
+            return 0
+        self._ingest_simulated(counts)
+        return self._count_ingested(n)
+
+    def _count_ingested(self, n: int) -> int:
+        self._n += n
         # Instruments are fetched per call, never cached on the session:
         # sessions pickle into process-pool shard workers and must not
         # carry lock-bearing telemetry objects.
@@ -137,8 +167,8 @@ class OnlineFrameworkSession:
         if registry.enabled:
             registry.counter(
                 "stream_ingested_total", framework=self.name
-            ).inc(int(labels.size))
-        return int(labels.size)
+            ).inc(n)
+        return n
 
     def ingest_dataset(self, dataset, batch_size: int = 65_536) -> int:
         """Stream a :class:`~repro.datasets.base.LabelItemDataset` through
@@ -163,7 +193,7 @@ class OnlineFrameworkSession:
         counts = np.bincount(flat, minlength=self.n_classes * self.n_items)
         return counts.reshape(self.n_classes, self.n_items)
 
-    def _ingest_simulated(self, labels: np.ndarray, items: np.ndarray) -> None:
+    def _ingest_simulated(self, counts: np.ndarray) -> None:
         raise NotImplementedError
 
     def _ingest_protocol(self, labels: np.ndarray, items: np.ndarray) -> None:
@@ -286,8 +316,13 @@ class OnlineFrameworkSession:
             "rng": self.rng,
         }
 
-    def _clone_config(self) -> "OnlineFrameworkSession":
-        return type(self)(**self._config_kwargs())
+    def _clone_config(self, rng: RngLike = None) -> "OnlineFrameworkSession":
+        """An empty session with this configuration, drawing from ``rng``
+        (default: this session's generator)."""
+        kwargs = self._config_kwargs()
+        if rng is not None:
+            kwargs["rng"] = rng
+        return type(self)(**kwargs)
 
     def copy(self) -> "OnlineFrameworkSession":
         """Detached snapshot of the aggregation state (shares the rng)."""
@@ -377,9 +412,8 @@ class OnlinePTJ(OnlineFrameworkSession):
         )
         self._support = np.zeros(self.n_classes * self.n_items, dtype=np.int64)
 
-    def _ingest_simulated(self, labels: np.ndarray, items: np.ndarray) -> None:
-        counts = self._batch_pair_counts(labels, items).ravel()
-        self._support += self._oracle.simulate_support(counts, rng=self.rng)
+    def _ingest_simulated(self, counts: np.ndarray) -> None:
+        self._support += self._oracle.simulate_support(counts.ravel(), rng=self.rng)
 
     def _ingest_protocol(self, labels: np.ndarray, items: np.ndarray) -> None:
         flat = labels * self.n_items + items
@@ -426,9 +460,9 @@ class OnlinePTS(OnlineFrameworkSession):
         self._pair_support = np.zeros((self.n_classes, self.n_items), dtype=np.int64)
         self._label_counts = np.zeros(self.n_classes, dtype=np.int64)
 
-    def _ingest_simulated(self, labels: np.ndarray, items: np.ndarray) -> None:
-        counts = self._batch_pair_counts(labels, items)
-        routed = route_labels_grr(counts, self._label_oracle.p, self.rng)
+    def _ingest_simulated(self, counts: np.ndarray) -> None:
+        stayed, arrived = route_labels_grr(counts, self._label_oracle.p, self.rng)
+        routed = stayed + arrived
         batch_label_counts = routed.sum(axis=1)
         p2, q2 = self._item_oracle.p, self._item_oracle.q
         ones = self.rng.binomial(routed, p2)
@@ -515,8 +549,7 @@ class OnlinePTSCP(OnlineFrameworkSession):
         self._flag_support = np.zeros(self.n_classes, dtype=np.int64)
         self._label_counts = np.zeros(self.n_classes, dtype=np.int64)
 
-    def _ingest_simulated(self, labels: np.ndarray, items: np.ndarray) -> None:
-        counts = self._batch_pair_counts(labels, items)
+    def _ingest_simulated(self, counts: np.ndarray) -> None:
         support = self._mechanism.simulate_support(counts, rng=self.rng)
         self._item_support += support.item_support
         self._flag_support += support.flag_support
@@ -569,9 +602,10 @@ class OnlinePTSCP(OnlineFrameworkSession):
 class OnlineHEC(OnlineFrameworkSession):
     """Streaming HEC: iid-uniform group assignment on arrival.
 
-    The one-shot framework partitions the *known* user population into
-    ``c`` equal groups; a stream's size is unknown, so each arriving user
-    draws her group uniformly instead.  Realised group sizes enter the
+    Each arriving user draws her group uniformly from the ``c`` classes;
+    a stream's size is unknown, so the population cannot be partitioned
+    exactly, and a per-batch partition would always hand a batch's
+    remainder to the first groups.  Realised group sizes enter the
     calibration, so estimates stay unbiased (up to HEC's inherent
     Theorem-4 deniability bias).
     """
@@ -592,9 +626,8 @@ class OnlineHEC(OnlineFrameworkSession):
         self._group_support = np.zeros((self.n_classes, self.n_items), dtype=np.int64)
         self._group_sizes = np.zeros(self.n_classes, dtype=np.int64)
 
-    def _ingest_simulated(self, labels: np.ndarray, items: np.ndarray) -> None:
+    def _ingest_simulated(self, counts: np.ndarray) -> None:
         c, d = self.n_classes, self.n_items
-        counts = self._batch_pair_counts(labels, items)
         assigned = self.rng.multinomial(counts.ravel(), np.full(c, 1.0 / c))
         for group in range(c):
             cells = assigned[:, group].reshape(c, d)
@@ -603,10 +636,30 @@ class OnlineHEC(OnlineFrameworkSession):
                 continue
             valid = cells[group]
             n_invalid = size - int(valid.sum())
-            self._group_support[group] += simulate_hec_group_support(
-                self._oracle, valid, n_invalid, self.rng
-            )
+            self._group_support[group] += self._simulate_group(valid, n_invalid)
             self._group_sizes[group] += size
+
+    def _simulate_group(self, valid_counts: np.ndarray, n_invalid: int) -> np.ndarray:
+        """Support of one group: valid users through the adaptive oracle,
+        invalid users replaced by a uniformly random item first."""
+        oracle, rng, d = self._oracle, self.rng, self.n_items
+        if oracle.name == "grr":
+            support = oracle.simulate_support(valid_counts, rng=rng)
+            if n_invalid:
+                # uniform item + GRR lands uniformly on the whole domain
+                # (q + (p-q)/d per value, summing to one).
+                support += rng.multinomial(n_invalid, np.full(d, 1.0 / d))
+            return support
+        # OUE: valid users are exact binomials; an invalid user sets bit v
+        # with marginal probability q + (p - q)/d.
+        p, q = oracle.p, oracle.q
+        n_valid = int(valid_counts.sum())
+        ones = rng.binomial(valid_counts, p)
+        zeros = rng.binomial(n_valid - valid_counts, q)
+        support = ones + zeros
+        if n_invalid:
+            support += rng.binomial(np.full(d, n_invalid), q + (p - q) / d)
+        return support.astype(np.int64)
 
     def _ingest_protocol(self, labels: np.ndarray, items: np.ndarray) -> None:
         c, d = self.n_classes, self.n_items

@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.frameworks.pts import route_labels_grr
 from ..core.topk.reporting import (
     EXECUTION_MODES,
     INVALID_MODES,
@@ -45,7 +44,7 @@ from ..exceptions import ConfigurationError, DomainError, ProtocolError
 from ..mechanisms.base import check_domain_size, check_epsilon
 from ..mechanisms.budget import split_budget
 from ..mechanisms.engine import batch_support
-from ..mechanisms.grr import GeneralizedRandomResponse
+from ..mechanisms.grr import GeneralizedRandomResponse, route_labels_grr
 from ..mechanisms.ue import OptimizedUnaryEncoding, oue_probabilities
 from ..mechanisms.validity import ValidityPerturbation
 from ..obs import metrics as _obs
@@ -219,7 +218,8 @@ class OnlineTopKSession:
         counts = np.bincount(flat, minlength=self.n_classes * self.n_items)
         counts = counts.reshape(self.n_classes, self.n_items)
         if self._label_oracle is not None:
-            counts = route_labels_grr(counts, self._label_oracle.p, self.rng)
+            stayed, arrived = route_labels_grr(counts, self._label_oracle.p, self.rng)
+            counts = stayed + arrived
         self._round_class_n += counts.sum(axis=1)
         for label in range(self.n_classes):
             cand = self._candidates[label]

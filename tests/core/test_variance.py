@@ -301,9 +301,9 @@ class TestVarianceMatrices:
 
 
 class TestProtocolModeMonteCarlo:
-    """Seeded Monte Carlo of the four frameworks in protocol mode, every
-    one of which privatises items as OUE bit-vector reports at this shape
-    (PTS and PTS-CP summed per perturbed label, PTJ over the joint
+    """Seeded Monte Carlo of the four frameworks in execution mode
+    ``MODE``, every one of which reports items as OUE bit vectors at this
+    shape (PTS and PTS-CP summed per perturbed label, PTJ over the joint
     domain, HEC per group).
 
     Each trial privatises the same fixed population afresh.  Across the
@@ -318,6 +318,7 @@ class TestProtocolModeMonteCarlo:
     from the population and ε alone, never read back from a session.
     """
 
+    MODE = "protocol"
     TRIALS = 200
     N_CLASSES, N_ITEMS, N_USERS = 3, 16, 5_000
     EPSILON = 1.0
@@ -352,7 +353,7 @@ class TestProtocolModeMonteCarlo:
         for trial, seed in enumerate(seeds):
             session = make_session(
                 framework, epsilon=self.EPSILON, n_classes=self.N_CLASSES,
-                n_items=self.N_ITEMS, mode="protocol",
+                n_items=self.N_ITEMS, mode=self.MODE,
                 rng=np.random.default_rng(seed),
             )
             session.ingest_batch(labels, items)
@@ -427,3 +428,7 @@ class TestProtocolModeMonteCarlo:
         )
         assert (bound > 0).all()
         assert (variance <= self.VARIANCE_TOLERANCE * bound).all()
+
+
+class TestSimulateModeMonteCarlo(TestProtocolModeMonteCarlo):
+    MODE = "simulate"

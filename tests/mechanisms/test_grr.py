@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AggregationError, DomainError, PrivacyBudgetError
-from repro.mechanisms import GeneralizedRandomResponse, grr_probabilities
+from repro.mechanisms import (
+    GeneralizedRandomResponse,
+    grr_probabilities,
+    route_labels_grr,
+)
 
 
 class TestProbabilities:
@@ -168,6 +172,37 @@ class TestSimulation:
             mech.simulate_support(np.asarray([1, 2, 3]), rng=rng)
         with pytest.raises(AggregationError):
             mech.simulate_support(np.asarray([1, -2, 3, 4]), rng=rng)
+
+
+class TestLabelRouting:
+    """The GRR label routing that PTS, its streaming session and the top-k
+    miners share.  Expectations come from ε and the counts alone."""
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 10])
+    def test_item_columns_are_preserved(self, c, rng):
+        counts = rng.integers(0, 50, size=(c, 7))
+        stayed, arrived = route_labels_grr(counts, 0.6, rng)
+        assert ((stayed >= 0) & (stayed <= counts)).all()
+        np.testing.assert_array_equal(
+            (stayed + arrived).sum(axis=0), counts.sum(axis=0)
+        )
+
+    def test_single_label_is_the_identity(self, rng):
+        counts = np.asarray([[3, 0, 5, 1]])
+        state = rng.bit_generator.state
+        stayed, arrived = route_labels_grr(counts, 0.7, rng)
+        np.testing.assert_array_equal(stayed, counts)
+        np.testing.assert_array_equal(arrived, np.zeros_like(counts))
+        assert rng.bit_generator.state == state
+
+    def test_stay_rate_matches_p(self, rng):
+        c, epsilon = 4, 1.0
+        p = math.exp(epsilon) / (math.exp(epsilon) + c - 1)
+        counts = rng.multinomial(1_200_000, np.ones(c * 6) / (c * 6))
+        stayed, _arrived = route_labels_grr(counts.reshape(c, 6), p, rng)
+        n = counts.sum()
+        standard_error = math.sqrt(p * (1.0 - p) / n)
+        assert abs(stayed.sum() / n - p) <= 5.0 * standard_error
 
 
 class TestAccounting:

@@ -4,7 +4,7 @@ merging, checkpoint round-trips."""
 import numpy as np
 import pytest
 
-from repro.core.frameworks import make_framework
+from repro.core.frameworks import MODES, make_framework
 from repro.core.topk import topk_per_class
 from repro.exceptions import ConfigurationError, DomainError, ProtocolError
 from repro.stream import (
@@ -79,6 +79,67 @@ class TestOneShotEquivalence:
         sigma = np.sqrt(coarse.var(axis=0) / 40 + fine.var(axis=0) / 40)
         diff = np.abs(coarse.mean(axis=0) - fine.mean(axis=0))
         assert (diff < 5 * sigma + 1e-9).all()
+
+
+class TestOneImplementation:
+    """A one-shot estimate is a session fed the dataset as one batch: the
+    same draws, not merely the same law."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", FRAMEWORKS)
+    def test_oneshot_equals_one_batch_session(self, name, mode, small_dataset):
+        # At ε = 1 the adaptive rule picks GRR for HEC's 8 items and OUE
+        # for PTJ's 24 joint values, so both oracle branches are covered.
+        framework = make_framework(
+            name, epsilon=1.0, n_classes=3, n_items=8, mode=mode
+        )
+        oneshot = framework.estimate_frequencies(
+            small_dataset, rng=np.random.default_rng(17)
+        )
+        session = make_session(
+            name, epsilon=1.0, n_classes=3, n_items=8, mode=mode,
+            rng=np.random.default_rng(17),
+        )
+        session.ingest_batch(small_dataset.labels, small_dataset.items)
+        np.testing.assert_array_equal(oneshot, session.estimate())
+
+    @pytest.mark.parametrize("name", FRAMEWORKS)
+    def test_ingest_counts_equals_ingest_batch(self, name, small_dataset):
+        by_counts = make_session(
+            name, epsilon=2.0, n_classes=3, n_items=8, rng=np.random.default_rng(23)
+        )
+        by_users = make_session(
+            name, epsilon=2.0, n_classes=3, n_items=8, rng=np.random.default_rng(23)
+        )
+        n = by_counts.ingest_counts(small_dataset.pair_counts())
+        assert n == by_users.ingest_batch(small_dataset.labels, small_dataset.items)
+        assert by_counts.n_ingested == by_users.n_ingested == small_dataset.n_users
+        np.testing.assert_array_equal(by_counts.estimate(), by_users.estimate())
+
+    def test_ingest_counts_validates_its_input(self):
+        session = make_session("pts", epsilon=1.0, n_classes=2, n_items=3)
+        with pytest.raises(DomainError):
+            session.ingest_counts(np.ones((3, 2), dtype=np.int64))
+        with pytest.raises(DomainError):
+            session.ingest_counts(np.asarray([[1, -1, 0], [0, 0, 0]]))
+        with pytest.raises(DomainError):
+            session.ingest_counts(np.full((2, 3), 1.5))
+        assert session.n_ingested == 0
+        protocol = make_session(
+            "pts", epsilon=1.0, n_classes=2, n_items=3, mode="protocol"
+        )
+        with pytest.raises(ConfigurationError):
+            protocol.ingest_counts(np.ones((2, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hec_oneshot_needs_a_user_per_group(self, mode):
+        """Fewer users than classes leave a group empty in either mode."""
+        from repro.datasets import LabelItemDataset
+
+        data = LabelItemDataset.from_pair_counts(np.asarray([[1, 0], [0, 1], [0, 0]]))
+        framework = make_framework("hec", 1.0, 3, 2, mode=mode, rng=0)
+        with pytest.raises(ProtocolError):
+            framework.estimate_frequencies(data)
 
 
 class TestOnlineQueries:
