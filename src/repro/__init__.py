@@ -1,11 +1,11 @@
 """repro — Multi-class Item Mining under Local Differential Privacy.
 
-A from-scratch reproduction of the ICDE 2025 paper: LDP frequency oracles
-(GRR, SUE/OUE, OLH, RAPPOR, Hadamard response), the paper's validity and
-correlated perturbation mechanisms, the HEC/PTJ/PTS/PTS-CP multi-class
-frameworks, and the shuffling-based multi-class top-k mining pipeline,
-plus datasets, metrics and a bench harness regenerating every table and
-figure of the paper's evaluation.
+A from-scratch reproduction of the ICDE 2025 paper: the LDP frequency
+oracles it builds on (GRR, SUE/OUE and the adaptive GRR/OUE choice), the
+paper's validity and correlated perturbation mechanisms, the
+HEC/PTJ/PTS/PTS-CP multi-class frameworks, and the shuffling-based
+multi-class top-k mining pipeline, plus datasets, metrics and a bench
+harness regenerating every table and figure of the paper's evaluation.
 
 Quickstart::
 

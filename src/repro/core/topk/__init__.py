@@ -1,7 +1,7 @@
 """Multi-class top-k item mining (paper Section VI-B).
 
 * :mod:`~repro.core.topk.trie` / :mod:`~repro.core.topk.pem` — the PEM
-  prefix-extension baseline and its trie substrate.
+  prefix-extension baseline and its bit-string helpers.
 * :mod:`~repro.core.topk.shuffling` — seeded candidate shuffling and the
   Fig. 3 combinatorics.
 * :mod:`~repro.core.topk.pruning` — single bucket/prefix iterations and
@@ -44,7 +44,7 @@ from .shuffling import (
     fig3_success_probability,
     pair_partition_count,
 )
-from .trie import PrefixTrie, bits_needed, extend_prefixes, prefix_counts, prefix_of
+from .trie import bits_needed, extend_prefixes, prefix_counts, prefix_of
 
 __all__ = [
     "BucketAssignment",
@@ -58,7 +58,6 @@ __all__ = [
     "OPTIMIZATIONS",
     "PEMMiner",
     "PEMResult",
-    "PrefixTrie",
     "TOPK_FRAMEWORKS",
     "assign_buckets",
     "bits_needed",

@@ -23,7 +23,7 @@ faithfully reproduced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .reporting import (
     INVALID_MODES,
     split_counts_over_iterations,
 )
-from .trie import PrefixTrie, bits_needed
+from .trie import bits_needed
 
 
 def pem_iteration_count(domain_size: int, k: int, extension_bits: int = 1) -> int:
@@ -59,7 +59,6 @@ class PEMResult:
     top_items: list[int]
     supports: np.ndarray
     candidates: np.ndarray
-    trie: Optional[PrefixTrie] = field(default=None, repr=False)
 
 
 class PEMMiner:
@@ -84,9 +83,6 @@ class PEMMiner:
         ``"simulate"`` (exact sufficient statistics, the default) or
         ``"protocol"`` — every iteration consumes per-user report batches
         through the vectorised engine instead.
-    record_trie:
-        Keep an explicit :class:`~repro.core.topk.trie.PrefixTrie` of the
-        expansion path (used by tests and demos; costs memory).
     """
 
     def __init__(
@@ -98,7 +94,6 @@ class PEMMiner:
         extension_bits: int = 1,
         invalid_mode: str = "random",
         mode: str = "simulate",
-        record_trie: bool = False,
         rng: RngLike = None,
     ) -> None:
         if k < 1:
@@ -122,7 +117,6 @@ class PEMMiner:
         self.keep = int(keep) if keep is not None else self.k
         self.extension_bits = int(extension_bits)
         self.invalid_mode = invalid_mode
-        self.record_trie = record_trie
         self.rng = ensure_rng(rng)
         self.total_bits = bits_needed(self.domain_size)
         self.start_bits = min(
@@ -162,7 +156,6 @@ class PEMMiner:
             raise DomainError(
                 f"expected counts of length {self.domain_size}, got {counts.size}"
             )
-        trie = PrefixTrie(self.total_bits) if self.record_trie else None
 
         iterations = self.n_iterations
         cohorts = split_counts_over_iterations(counts, iterations, rng)
@@ -184,13 +177,6 @@ class PEMMiner:
                 extension_bits=self.extension_bits,
                 mode=self.mode,
             )
-            if trie is not None:
-                kept_now = outcome.candidates >> min(
-                    self.extension_bits, self.total_bits - depth
-                )
-                trie.insert_frontier(
-                    np.unique(kept_now), depth, np.zeros(np.unique(kept_now).size)
-                )
             prefixes = outcome.candidates
             depth = min(depth + self.extension_bits, self.total_bits)
 
@@ -206,13 +192,10 @@ class PEMMiner:
             rng=rng,
             mode=self.mode,
         )
-        if trie is not None and candidates.size:
-            trie.insert_frontier(candidates, self.total_bits, support)
         return PEMResult(
             top_items=top_items,
             supports=support,
             candidates=candidates,
-            trie=trie,
         )
 
     # ------------------------------------------------------------------

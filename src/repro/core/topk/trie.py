@@ -1,17 +1,15 @@
-"""Prefix-trie substrate for PEM-style heavy-hitter mining.
+"""Bit-string helpers for PEM-style prefix mining.
 
 PEM (Wang et al., TDSC 2021) converts top-k item mining into frequent
-*sequence* mining: items are encoded as fixed-length bit strings, the trie
-grows one level per iteration, and low-support prefixes are pruned.  This
-module provides the bit-string helpers and an explicit trie structure used
-by :mod:`repro.core.topk.pem` and by the tests that reconstruct the
-paper's Fig. 3 counterexample.
+*sequence* mining: items are encoded as fixed-length bit strings, the
+candidate prefixes grow one level per iteration, and low-support
+prefixes are pruned.  The miners (:mod:`repro.core.topk.pem`,
+:mod:`repro.core.topk.pruning` and the streaming top-k session) keep
+each level's prefixes as a flat integer array; this module encodes,
+truncates, extends and counts them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -65,83 +63,3 @@ def prefix_counts(
     return np.bincount(prefixes, weights=counts.astype(np.float64), minlength=1 << prefix_bits).astype(
         np.int64
     )
-
-
-@dataclass
-class TrieNode:
-    """One trie node: a prefix with its observed support."""
-
-    prefix: int
-    depth: int
-    support: float = 0.0
-    children: dict[int, "TrieNode"] = field(default_factory=dict)
-
-    def child(self, bit: int) -> Optional["TrieNode"]:
-        return self.children.get(bit)
-
-    def add_child(self, bit: int, support: float = 0.0) -> "TrieNode":
-        node = TrieNode(
-            prefix=(self.prefix << 1) | bit, depth=self.depth + 1, support=support
-        )
-        self.children[bit] = node
-        return node
-
-
-class PrefixTrie:
-    """Explicit trie over fixed-length bit strings.
-
-    Mainly a bookkeeping/visualisation structure: the vectorised PEM miner
-    works on flat prefix arrays, but the trie records the expansion path
-    (which the Fig. 3 tests inspect) and supports enumeration of the
-    frontier at any depth.
-    """
-
-    def __init__(self, total_bits: int) -> None:
-        if total_bits < 1:
-            raise DomainError(f"total_bits must be >= 1, got {total_bits}")
-        self.total_bits = total_bits
-        self.root = TrieNode(prefix=0, depth=0)
-
-    def insert_frontier(self, prefixes: np.ndarray, depth: int, supports: np.ndarray) -> None:
-        """Record one iteration's surviving prefixes with their supports."""
-        prefixes = np.asarray(prefixes, dtype=np.int64)
-        supports = np.asarray(supports, dtype=np.float64)
-        if prefixes.shape != supports.shape:
-            raise DomainError("prefixes and supports must align")
-        if not 1 <= depth <= self.total_bits:
-            raise DomainError(f"depth must be in [1, {self.total_bits}], got {depth}")
-        for prefix, support in zip(prefixes, supports):
-            node = self.root
-            for level in range(depth, 0, -1):
-                bit = int((prefix >> (level - 1)) & 1)
-                nxt = node.child(bit)
-                if nxt is None:
-                    nxt = node.add_child(bit)
-                node = nxt
-            node.support = float(support)
-
-    def frontier(self, depth: int) -> list[TrieNode]:
-        """All recorded nodes at ``depth`` (expansion order)."""
-        out: list[TrieNode] = []
-
-        def walk(node: TrieNode) -> None:
-            if node.depth == depth:
-                out.append(node)
-                return
-            for bit in (0, 1):
-                child = node.child(bit)
-                if child is not None:
-                    walk(child)
-
-        walk(self.root)
-        return out
-
-    def __iter__(self) -> Iterator[TrieNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self) - 1  # exclude the root

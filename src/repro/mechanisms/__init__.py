@@ -1,14 +1,11 @@
 """LDP frequency-oracle substrate.
 
-This subpackage implements every perturbation primitive the paper uses or
-compares against, from scratch:
+This subpackage implements the perturbation primitives the paper builds
+on, from scratch:
 
 * :class:`~repro.mechanisms.grr.GeneralizedRandomResponse` — k-RR.
 * :class:`~repro.mechanisms.ue.SymmetricUnaryEncoding` /
   :class:`~repro.mechanisms.ue.OptimizedUnaryEncoding` — SUE / OUE.
-* :class:`~repro.mechanisms.olh.OptimalLocalHashing` — OLH.
-* :class:`~repro.mechanisms.rappor.Rappor` — one-shot RAPPOR.
-* :class:`~repro.mechanisms.hadamard.HadamardResponse` — Hadamard response.
 * :class:`~repro.mechanisms.adaptive.AdaptiveMechanism` — the GRR/OUE
   selector (``d < 3e^ε + 2``) from Wang et al.
 * :class:`~repro.mechanisms.validity.ValidityPerturbation` — the paper's
@@ -35,9 +32,6 @@ from .correlated import (
 )
 from .engine import batch_spans, batch_support, grouped_batch_support
 from .grr import GeneralizedRandomResponse, grr_probabilities, route_labels_grr
-from .hadamard import HadamardResponse
-from .olh import OptimalLocalHashing
-from .rappor import Rappor
 from .ue import (
     OptimizedUnaryEncoding,
     SymmetricUnaryEncoding,
@@ -57,11 +51,8 @@ __all__ = [
     "fold_correlated_batch",
     "grouped_batch_support",
     "GeneralizedRandomResponse",
-    "HadamardResponse",
-    "OptimalLocalHashing",
     "OptimizedUnaryEncoding",
     "PrivacyBudget",
-    "Rappor",
     "SymmetricUnaryEncoding",
     "UnaryEncoding",
     "ValidityPerturbation",

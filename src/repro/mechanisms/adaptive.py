@@ -73,9 +73,6 @@ class AdaptiveMechanism(FrequencyOracle):
     def aggregate_batch(self, reports):
         return self._inner.aggregate_batch(reports)
 
-    def _batch_size(self, reports):
-        return self._inner._batch_size(reports)
-
     def estimate(self, support, n):
         return self._inner.estimate(support, n)
 

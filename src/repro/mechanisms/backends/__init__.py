@@ -1,9 +1,11 @@
 """Pluggable kernel backends for the report plane's hot loops.
 
-The unified report plane funnels every protocol path through a handful of
-vectorised kernels (:mod:`repro.mechanisms.kernels`,
-:mod:`repro.mechanisms.engine`, :mod:`repro.mechanisms.olh`).  This
-package makes the *implementation* of those kernels swappable at runtime:
+The unified report plane funnels every protocol path through three
+vectorised kernels — ``perturb_onehot``, ``categorical_support`` and
+``grouped_scatter`` — called from :mod:`repro.mechanisms.kernels`,
+:mod:`repro.mechanisms.engine` and :mod:`repro.mechanisms.correlated`.
+This package makes the *implementation* of those kernels swappable at
+runtime:
 
 * ``numpy`` — the reference implementations (:mod:`.numpy_backend`),
   always present;

@@ -13,8 +13,8 @@ Draw-for-draw equivalence with :mod:`.numpy_backend` is a hard contract
 (:func:`.numpy_backend.unary_cells`), on the *caller's NumPy generator*
 in exactly the reference order, and hands them to a compiled nogil
 threshold stage, so the random stream never depends on which backend
-ran.  Pure-compute kernels (hashing, counting, scatter) are bit-for-bit
-by construction.
+ran.  Pure-compute kernels (counting, scatter) are bit-for-bit by
+construction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import AggregationError
-from .numpy_backend import PRIME, unary_cells
+from .numpy_backend import unary_cells
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba as _numba
@@ -67,28 +67,6 @@ def _threshold_onehot(cells, positions, p_cut, q_cut):  # pragma: no cover
 
 
 @_njit(nogil=True)
-def _universal_hash(values, a, b, g):  # pragma: no cover - compiled
-    out = np.empty(values.size, dtype=np.int64)
-    for i in range(values.size):
-        out[i] = np.int64(((a * values[i] + b) % PRIME) % g)
-    return out
-
-
-@_njit(nogil=True)
-def _bulk_hash_support(a, b, reports, domain_size, g):  # pragma: no cover
-    support = np.zeros(domain_size, dtype=np.int64)
-    for i in range(a.size):
-        ai = a[i]
-        bi = b[i]
-        target = reports[i]
-        for v in range(domain_size):
-            h = ((ai * np.uint64(v) + bi) % PRIME) % g
-            if h == target:
-                support[v] += 1
-    return support
-
-
-@_njit(nogil=True)
 def _categorical_support(reports, domain_size):  # pragma: no cover
     counts = np.zeros(domain_size, dtype=np.int64)
     for i in range(reports.size):
@@ -126,23 +104,6 @@ def perturb_onehot(positions, width, p, q, rng):
     )
 
 
-def universal_hash(values, a, b, g):
-    values = np.asarray(values, dtype=np.uint64)
-    return _universal_hash(values, np.uint64(a), np.uint64(b), np.uint64(g))
-
-
-def bulk_hash_support(a, b, reports, domain_size, g, block_elements=None):
-    # O(1) memory: the compiled loop never materialises the (n, d) hash
-    # block the NumPy path pays for, so block_elements is irrelevant.
-    return _bulk_hash_support(
-        np.asarray(a, dtype=np.uint64),
-        np.asarray(b, dtype=np.uint64),
-        np.asarray(reports, dtype=np.uint64),
-        np.int64(domain_size),
-        np.uint64(g),
-    )
-
-
 def categorical_support(reports, domain_size, name="categorical"):
     counts, in_domain = _categorical_support(
         np.asarray(reports, dtype=np.int64), np.int64(domain_size)
@@ -163,8 +124,6 @@ def grouped_scatter(groups, bits, n_groups):
 #: Kernel table exposed to the registry (only consulted when available()).
 KERNELS = {
     "perturb_onehot": perturb_onehot,
-    "universal_hash": universal_hash,
-    "bulk_hash_support": bulk_hash_support,
     "categorical_support": categorical_support,
     "grouped_scatter": grouped_scatter,
 }

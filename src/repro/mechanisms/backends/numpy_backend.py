@@ -4,9 +4,9 @@ This module is the semantic ground truth of the kernel registry
 (:mod:`repro.mechanisms.backends`): every other backend must reproduce
 these functions draw-for-draw (where a generator is consumed) and
 bit-for-bit (where the computation is deterministic).  Their callers in
-:mod:`repro.mechanisms` (the ``kernels``, ``olh``, ``engine`` and
-``correlated`` modules) perform the argument validation; the functions
-here assume validated inputs and do only the arithmetic.
+:mod:`repro.mechanisms` (the ``kernels``, ``engine`` and ``correlated``
+modules) perform the argument validation; the functions here assume
+validated inputs and do only the arithmetic.
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ import math
 import numpy as np
 
 from ...exceptions import AggregationError
-
-#: Large Mersenne prime used by the OLH universal hash family.
-PRIME = (1 << 61) - 1
-
-#: Matrix-cell budget per block of the bulk-hash evaluation.
-HASH_BLOCK_ELEMENTS = 4_000_000
 
 
 def unary_cells(
@@ -62,35 +56,6 @@ def perturb_onehot(
     rows = np.arange(positions.size)
     bits[rows, positions] = cells[rows, positions] < p_cut
     return bits.view(np.uint8)
-
-
-def universal_hash(values: np.ndarray, a, b, g) -> np.ndarray:
-    """Vectorised ``((a*x + b) mod PRIME) mod g`` universal hash."""
-    values = np.asarray(values, dtype=np.uint64)
-    out = (a * values + b) % PRIME
-    return (out % np.uint64(g)).astype(np.int64)
-
-
-def bulk_hash_support(
-    a: np.ndarray,
-    b: np.ndarray,
-    reports: np.ndarray,
-    domain_size: int,
-    g: int,
-    block_elements: int = HASH_BLOCK_ELEMENTS,
-) -> np.ndarray:
-    """OLH support counts: every user's hash evaluated over the whole
-    domain in NumPy blocks of roughly ``block_elements`` matrix cells."""
-    from ..engine import batch_spans
-
-    support = np.zeros(domain_size, dtype=np.int64)
-    domain = np.arange(domain_size, dtype=np.uint64)
-    targets = reports.astype(np.uint64)
-    for span in batch_spans(reports.size, domain_size, block_elements):
-        block = (a[span, None] * domain[None, :] + b[span, None]) % PRIME
-        block %= np.uint64(g)
-        support += (block == targets[span, None]).sum(axis=0)
-    return support
 
 
 def categorical_support(
@@ -144,8 +109,6 @@ def grouped_scatter(
 #: Kernel table exposed to the registry.
 KERNELS = {
     "perturb_onehot": perturb_onehot,
-    "universal_hash": universal_hash,
-    "bulk_hash_support": bulk_hash_support,
     "categorical_support": categorical_support,
     "grouped_scatter": grouped_scatter,
 }

@@ -12,9 +12,11 @@ Every oracle in :mod:`repro.mechanisms` implements two equivalent paths:
     under the hood: ``privatize_many`` perturbs a whole batch of values
     into a plain ndarray of reports in one vectorised pass, and
     ``aggregate`` is a thin wrapper over ``aggregate_batch``, the
-    vectorised fold shared with the streaming accumulators
-    (:mod:`repro.stream.accumulators`) through the kernels in
-    :mod:`repro.mechanisms.kernels`.  The batch execution engine
+    vectorised fold built on the kernels in
+    :mod:`repro.mechanisms.kernels`.  Supports are additive: the
+    ``aggregate_batch`` supports of two report sets sum to the support
+    of their union, which is what lets streaming sessions fold batches
+    incrementally and merge across shards.  The batch execution engine
     (:mod:`repro.mechanisms.engine`) chains the two blockwise so no hot
     path ever dispatches per user in Python.
 
@@ -148,56 +150,6 @@ class FrequencyOracle(abc.ABC):
         relative frequencies.
         """
 
-    def estimate_from_reports(
-        self, reports: Iterable[Report], chunk_size: int = 8192
-    ) -> np.ndarray:
-        """Convenience: aggregate then estimate.
-
-        Streams the iterable through :meth:`aggregate_batch` in
-        ``chunk_size`` slices, counting users as it folds — the report
-        set is never materialised in full.
-        """
-        support, n = self._aggregate_counting(reports, chunk_size)
-        return self.estimate(support, n)
-
-    def _aggregate_counting(self, reports, chunk_size: int):
-        """Fold reports chunk-wise, returning ``(support, n_reports)``."""
-        if isinstance(reports, np.ndarray):
-            return self.aggregate_batch(reports), self._batch_size(reports)
-        support = None
-        n = 0
-        buffer: list = []
-        for report in reports:
-            buffer.append(report)
-            if len(buffer) >= chunk_size:
-                block = self.aggregate_batch(buffer)
-                support = block if support is None else support + block
-                n += len(buffer)
-                buffer = []
-        if buffer or support is None:
-            block = self.aggregate_batch(buffer)
-            support = block if support is None else support + block
-            n += len(buffer)
-        return support, n
-
-    def _batch_size(self, reports: np.ndarray) -> int:
-        """Number of reports in an ndarray batch (1-D array = one report;
-        scalar-report oracles override)."""
-        arr = np.asarray(reports)
-        return 1 if arr.ndim == 1 and arr.size else int(arr.shape[0])
-
-    def accumulator(self):
-        """Fresh mergeable streaming accumulator for this oracle's reports.
-
-        The accumulator ingests report batches incrementally and merges
-        associatively across shards; ``accumulator().support()`` after
-        ingesting a report set equals :meth:`aggregate` on the same set.
-        See :mod:`repro.stream.accumulators`.
-        """
-        from ..stream.accumulators import accumulator_for
-
-        return accumulator_for(self)
-
     # ------------------------------------------------------------------
     # exact simulation fast path
     # ------------------------------------------------------------------
@@ -259,8 +211,7 @@ def calibrate_counts(support: np.ndarray, n: int, p: float, q: float) -> np.ndar
     """Standard pure-protocol calibration ``(support - n*q) / (p - q)``.
 
     This is the unbiased inversion for any oracle where a value's support
-    is ``Binom(n_v, p) + Binom(n - n_v, q)`` (GRR, UE family, OLH with
-    ``q = 1/g``).
+    is ``Binom(n_v, p) + Binom(n - n_v, q)`` (GRR and the UE family).
     """
     if p == q:
         raise AggregationError("calibration undefined for p == q")

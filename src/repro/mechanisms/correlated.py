@@ -57,10 +57,9 @@ def fold_correlated_batch(
 
     The single vectorised statement of the server-side law (paper
     Section IV-B): item bits count only under a clear perturbed flag.
-    Shared by :meth:`CorrelatedPerturbation.aggregate_batch`, the
-    streaming accumulator
-    (:class:`repro.stream.accumulators.CorrelatedAccumulator`) and the
-    streaming PTS-CP session, so the fold cannot drift between them.
+    :meth:`CorrelatedPerturbation.aggregate_batch` folds every batch
+    through it, the streaming PTS-CP session's included, so the fold
+    cannot drift between the one-shot and streaming paths.
     The item rows of clear-flag reports are summed per perturbed label by
     the backend registry's ``grouped_scatter`` kernel — the one PTS's
     :func:`~repro.mechanisms.engine.grouped_batch_support` uses.  Labels
@@ -279,13 +278,6 @@ class CorrelatedPerturbation:
         """Fold ``(perturbed_label, bits)`` reports into sufficient stats
         (thin wrapper over :meth:`aggregate_batch`)."""
         return self.aggregate_batch(reports)
-
-    def accumulator(self):
-        """Fresh mergeable streaming accumulator for ``(label, bits)``
-        reports (see :class:`repro.stream.accumulators.CorrelatedAccumulator`)."""
-        from ..stream.accumulators import accumulator_for
-
-        return accumulator_for(self)
 
     def estimate_class_sizes(self, support: CorrelatedSupport) -> np.ndarray:
         """Unbiased class sizes ``n̂ = (ñ - N q₁) / (p₁ - q₁)``."""

@@ -63,7 +63,7 @@ class GeneralizedRandomResponse(FrequencyOracle):
         """Privatise a batch in one vectorised pass.
 
         Returns ``int64`` reports as an array rather than a list — array
-        callers (aggregation, streaming accumulators) consume it directly
+        callers (``aggregate_batch``, the batch engine) consume it directly
         and list-style callers iterate it unchanged.
         """
         values = np.asarray(values, dtype=np.int64).ravel()
@@ -86,9 +86,6 @@ class GeneralizedRandomResponse(FrequencyOracle):
     def aggregate_batch(self, reports) -> np.ndarray:
         """Support counts of a categorical report batch (validated bincount)."""
         return categorical_support(reports, self.domain_size, "GRR")
-
-    def _batch_size(self, reports: np.ndarray) -> int:
-        return int(np.asarray(reports).size)
 
     def estimate(self, support: np.ndarray, n: int) -> np.ndarray:
         if self.domain_size == 1:

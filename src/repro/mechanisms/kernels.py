@@ -2,9 +2,10 @@
 
 Every LDP oracle in this package privatises and aggregates *batches* of
 reports through a handful of vectorised kernels.  They live here, below
-both the oracles and the streaming accumulators, so the one-shot
-``aggregate_batch`` path and the incremental ``ingest_batch`` path are the
-same code — the two cannot drift apart.
+the oracles, so the one-shot ``aggregate_batch`` path and a streaming
+session's incremental ``ingest_batch`` path (which folds each batch
+through the engine into ``aggregate_batch``) are the same code — the two
+cannot drift apart.
 
 The kernels operate on plain ndarrays (no mechanism objects, no RNG state
 beyond an explicit generator argument) and therefore compose freely: the

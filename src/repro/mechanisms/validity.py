@@ -42,9 +42,7 @@ def flag_filtered_support(bits: np.ndarray, domain_size: int) -> np.ndarray:
     Positions ``0..d-1`` sum the item bits of reports whose perturbed flag
     is clear; position ``d`` counts the reports whose flag is set.  The
     one vectorised statement of the paper's Section IV-A server law,
-    shared by :meth:`ValidityPerturbation.aggregate_batch` and the
-    streaming accumulator
-    (:class:`repro.stream.accumulators.FlagFilteredAccumulator`).
+    folded by :meth:`ValidityPerturbation.aggregate_batch`.
     """
     bits = as_report_matrix(bits, domain_size + 1, "validity")
     flag = bits[:, domain_size].astype(bool)

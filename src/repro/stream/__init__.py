@@ -3,15 +3,12 @@
 The one-shot reproduction harness runs each protocol as a single batch;
 this subpackage converts aggregation into an online system:
 
-* :mod:`~repro.stream.accumulators` — mergeable per-mechanism support
-  accumulators (``ingest_batch`` / associative ``merge``), built from any
-  oracle via ``mechanism.accumulator()``.
-* :mod:`~repro.stream.sharding` — :class:`ShardedAggregator`, fanning
-  batches across worker shards and merging partial states.
 * :mod:`~repro.stream.session` — :class:`OnlineFrameworkSession` per
   framework (HEC / PTJ / PTS / PTS-CP): ingest ``(labels, items)``
   batches, query ``estimate()`` / ``topk(k)`` at any time, merge across
   shards, checkpoint to ``.npz``.
+* :mod:`~repro.stream.sharding` — :class:`ShardedAggregator`, fanning
+  batches across session shards and merging their states.
 * :mod:`~repro.stream.topk_session` — :class:`OnlineTopKSession`, the
   incremental top-k miner: ingest users round-by-round against a
   per-class candidate frontier, query per-class top-k mid-stream.
@@ -35,17 +32,6 @@ Quickstart::
     session.save("checkpoint.npz")
 """
 
-from .accumulators import (
-    ACCUMULATORS,
-    BitVectorAccumulator,
-    CorrelatedAccumulator,
-    CountAccumulator,
-    FlagFilteredAccumulator,
-    HadamardAccumulator,
-    LocalHashAccumulator,
-    SupportAccumulator,
-    accumulator_for,
-)
 from .checkpoint import load_state, save_state
 from .drain import (
     DECAY_EVENT,
@@ -69,18 +55,11 @@ from .topk_session import OnlineTopKSession
 from .window import WindowPolicy
 
 __all__ = [
-    "ACCUMULATORS",
     "AggregatorDrain",
     "BatchDrain",
-    "BitVectorAccumulator",
-    "CorrelatedAccumulator",
-    "CountAccumulator",
     "DECAY_EVENT",
     "DriftDetector",
     "DriftReport",
-    "FlagFilteredAccumulator",
-    "HadamardAccumulator",
-    "LocalHashAccumulator",
     "OnlineFrameworkSession",
     "OnlineHEC",
     "OnlinePTJ",
@@ -90,9 +69,7 @@ __all__ = [
     "SESSIONS",
     "SessionDrain",
     "ShardedAggregator",
-    "SupportAccumulator",
     "WindowPolicy",
-    "accumulator_for",
     "default_shard_count",
     "load_state",
     "make_session",

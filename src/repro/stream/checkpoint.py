@@ -1,7 +1,7 @@
 """``.npz`` checkpointing for streaming state.
 
 A checkpoint is a single NumPy archive holding the integer count arrays
-of an accumulator or session plus a JSON metadata record (stored as a
+of a session plus a JSON metadata record (stored as a
 zero-dimensional string array under ``__meta__``).  Everything is plain
 data — no pickling — so checkpoints are safe to load from untrusted
 storage and portable across processes and hosts.

@@ -1,20 +1,19 @@
 """Shard-parallel batch ingestion with mergeable partial states.
 
-A :class:`ShardedAggregator` owns ``n_shards`` independent aggregation
-states — anything exposing ``ingest_batch`` and ``merge``, i.e. a
-:class:`~repro.stream.accumulators.SupportAccumulator` or an
-:class:`~repro.stream.session.OnlineFrameworkSession` — and fans
-submitted batches across them round-robin.  Each shard is served by its
-own single-worker executor, so batches bound for one shard execute in
-submission order (keeping per-shard RNG streams deterministic) while
+A :class:`ShardedAggregator` owns ``n_shards`` independent shard states
+— :class:`~repro.stream.session.OnlineFrameworkSession` instances, or
+anything else exposing ``ingest_batch``, ``merge`` and ``copy`` — and
+fans submitted batches across them round-robin.  Each shard is served by
+its own single-worker executor, so batches bound for one shard execute
+in submission order (keeping per-shard RNG streams deterministic) while
 different shards ingest concurrently.  ``merged()`` reduces the partial
-states with ``merge``; because merging is associative and commutative,
-the result is independent of how batches were distributed.
+states with ``merge``.
 
-Because support counts are additive, sharded ingestion of a report set
-equals single-state ingestion of the same set *exactly* for protocol-mode
-reports, and in distribution for simulate-mode sessions (each shard draws
-from its own stream).
+The result is exact, in either mode and under either executor: with
+seeded sessions, ``merged().estimate()`` equals what the same sessions
+give when fed the same batches round-robin in-process and then reduced
+with ``merge``.  Sessions hold additive support counts, so the reduction
+order does not matter.
 
 Two executors are available.  ``executor="thread"`` (default) serves each
 shard from its own single-worker thread — cheap hand-off, shared memory,
@@ -294,7 +293,7 @@ class ShardedAggregator:
     executor:
         ``"thread"`` (default) or ``"process"`` — see the module
         docstring.  Process mode requires picklable shard states (every
-        accumulator and session qualifies) and defers actual ingestion to
+        session qualifies) and defers actual ingestion to
         :meth:`drain`.
     transport:
         Process-mode batch transport: ``"shm"`` (zero-copy shared-memory
@@ -385,9 +384,7 @@ class ShardedAggregator:
 
         Batches rotate round-robin unless ``shard`` pins one.  ``batch``
         is handed to the shard's ``ingest_batch`` as a single argument —
-        every shard type accepts its tuple batch form that way (sessions
-        take ``(labels, items)``, the OLH accumulator ``(a, b, r)``
-        columns, the correlated accumulator ``(labels, bits)``).
+        sessions take their ``(labels, items)`` tuple that way.
 
         ``trace`` attaches a :class:`~repro.obs.trace.TraceContext` to
         the batch: the shard ingest records a child span (in-process for

@@ -15,12 +15,12 @@ batch:
 ``("array", offset, dtype, shape)``
     An ndarray leaf living in the segment at ``offset``.
 ``("tuple", [child, ...])``
-    A tuple batch (sessions take ``(labels, items)``, the OLH accumulator
-    ``(a, b, report)`` columns) whose leaves are described recursively.
+    A tuple batch (sessions take ``(labels, items)``) whose leaves are
+    described recursively.
 ``("pickle", payload)``
     Anything that is not an ndarray, pickled inline in the manifest.
-    Only non-array batches (e.g. plain lists of reports) take this path —
-    ndarrays never travel pickled.
+    Only non-array batches (e.g. plain lists, which ``submit`` accepts
+    like any other batch) take this path — ndarrays never travel pickled.
 
 Segment lifecycle: the parent creates, fills, sends the name, and
 unlinks after the worker's reply; the worker attaches, ingests the views

@@ -21,8 +21,9 @@ import numpy as np
 INVALID_ITEM: int = -1
 
 #: A client-side report.  The concrete type depends on the mechanism:
-#: an ``int`` for GRR, a ``numpy`` bit vector for unary encodings, a tuple
-#: for OLH and the correlated mechanism.
+#: an ``int`` for GRR, a ``numpy`` bit vector for unary encodings and the
+#: validity perturbation, a ``(label, bits)`` tuple for the correlated
+#: mechanism.
 Report = Union[int, np.ndarray, tuple]
 
 

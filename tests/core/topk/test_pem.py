@@ -91,13 +91,6 @@ class TestMining:
 
         assert score("vp") > score("random")
 
-    def test_trie_recording(self, rng):
-        counts = rng.multinomial(5000, np.ones(64) / 64)
-        miner = PEMMiner(k=4, epsilon=4.0, domain_size=64, record_trie=True, rng=rng)
-        result = miner.mine_counts(counts, rng=rng)
-        assert result.trie is not None
-        assert len(result.trie) > 0
-
 
 class TestFig3Failure:
     def test_prefix_expansion_misses_structured_top1(self):

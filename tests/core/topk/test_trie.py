@@ -1,9 +1,9 @@
-"""Prefix-trie substrate."""
+"""Bit-string helpers for prefix mining."""
 
 import numpy as np
 import pytest
 
-from repro.core.topk import PrefixTrie, bits_needed, extend_prefixes, prefix_counts, prefix_of
+from repro.core.topk import bits_needed, extend_prefixes, prefix_counts, prefix_of
 from repro.exceptions import DomainError
 
 
@@ -48,33 +48,3 @@ class TestBitHelpers:
     def test_prefix_counts_rejects_overflow(self):
         with pytest.raises(DomainError):
             prefix_counts(np.ones(5), 2, 1)
-
-
-class TestPrefixTrie:
-    def test_insert_and_frontier(self):
-        trie = PrefixTrie(3)
-        trie.insert_frontier(np.asarray([0b10, 0b01]), 2, np.asarray([7.0, 3.0]))
-        nodes = trie.frontier(2)
-        assert {node.prefix for node in nodes} == {0b10, 0b01}
-        assert {node.support for node in nodes} == {7.0, 3.0}
-
-    def test_deeper_insert_creates_path(self):
-        trie = PrefixTrie(3)
-        trie.insert_frontier(np.asarray([0b101]), 3, np.asarray([9.0]))
-        assert len(trie) == 3  # three nodes along the path
-
-    def test_rejects_bad_depth(self):
-        trie = PrefixTrie(3)
-        with pytest.raises(DomainError):
-            trie.insert_frontier(np.asarray([1]), 4, np.asarray([1.0]))
-
-    def test_rejects_misaligned_supports(self):
-        trie = PrefixTrie(3)
-        with pytest.raises(DomainError):
-            trie.insert_frontier(np.asarray([1, 2]), 2, np.asarray([1.0]))
-
-    def test_iteration_covers_all_nodes(self):
-        trie = PrefixTrie(2)
-        trie.insert_frontier(np.asarray([0b00, 0b11]), 2, np.asarray([1.0, 2.0]))
-        prefixes = {node.prefix for node in trie if node.depth == 2}
-        assert prefixes == {0b00, 0b11}

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from repro.mechanisms import (
+    AdaptiveMechanism,
     CorrelatedPerturbation,
     GeneralizedRandomResponse,
-    HadamardResponse,
-    OptimalLocalHashing,
     OptimizedUnaryEncoding,
-    Rappor,
     SymmetricUnaryEncoding,
     ValidityPerturbation,
     batch_support,
@@ -26,10 +24,10 @@ ORACLES = {
     "grr": lambda rng: GeneralizedRandomResponse(EPS, 12, rng=rng),
     "oue": lambda rng: OptimizedUnaryEncoding(EPS, 9, rng=rng),
     "sue": lambda rng: SymmetricUnaryEncoding(EPS, 9, rng=rng),
-    "olh": lambda rng: OptimalLocalHashing(EPS, 10, rng=rng),
-    "rappor": lambda rng: Rappor(4.0, 8, rng=rng),
-    "hr": lambda rng: HadamardResponse(EPS, 10, rng=rng),
     "vp": lambda rng: ValidityPerturbation(EPS, 9, rng=rng),
+    # d < 3e^EPS + 2 ~= 14.2 selects GRR, a larger domain OUE.
+    "adaptive-grr": lambda rng: AdaptiveMechanism(EPS, 12, rng=rng),
+    "adaptive-oue": lambda rng: AdaptiveMechanism(EPS, 16, rng=rng),
 }
 
 
@@ -54,24 +52,57 @@ class TestExactAggregation:
         np.testing.assert_array_equal(batched, listed)
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
-    def test_accumulator_split_matches_aggregate_batch(self, name):
+    def test_split_supports_add_up(self, name):
+        """Supports are additive: the folds of two halves sum to the fold
+        of the whole, so batches can be aggregated incrementally."""
         rng = np.random.default_rng(12)
         mech = ORACLES[name](rng)
         values = _values(mech, np.random.default_rng(2))
         reports = np.asarray(mech.privatize_many(values))
-        acc = mech.accumulator()
-        acc.ingest_batch(reports[:150])
-        acc.ingest_batch(reports[150:])
-        np.testing.assert_array_equal(acc.support(), mech.aggregate_batch(reports))
-        assert acc.n == len(values)
+        whole = mech.aggregate_batch(reports)
+        split = mech.aggregate_batch(reports[:150]) + mech.aggregate_batch(reports[150:])
+        np.testing.assert_array_equal(split, whole)
+        assert whole.dtype == np.int64
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_empty_batch_folds_to_typed_zeros(self, name):
+        """The additive identity: no reports, in any form, fold to an
+        all-zero int64 support of the populated shape."""
+        mech = ORACLES[name](np.random.default_rng(14))
+        values = _values(mech, np.random.default_rng(4))
+        full = mech.aggregate_batch(mech.privatize_many(values))
+        for empty in (mech.privatize_many(np.zeros(0, dtype=np.int64)), [], iter(())):
+            support = mech.aggregate_batch(empty)
+            assert support.shape == full.shape
+            assert support.dtype == np.int64
+            assert not support.any()
+
+    def test_correlated_split_columns_match_pairs(self):
+        """CP supports add up too, and the ``(labels, bits)`` column form
+        folds exactly like the list of per-user pairs."""
+        mech = CorrelatedPerturbation(0.5, 0.5, n_classes=3, n_items=5,
+                                      rng=np.random.default_rng(13))
+        rng = np.random.default_rng(3)
+        labels, bits = mech.privatize_many(
+            rng.integers(0, 3, 80), rng.integers(0, 5, 80)
+        )
+        split = (
+            mech.aggregate_batch((labels[:33], bits[:33]))
+            + mech.aggregate_batch((labels[33:], bits[33:]))
+        )
+        pairs = mech.aggregate(list(zip(labels, bits)))
+        np.testing.assert_array_equal(split.item_support, pairs.item_support)
+        np.testing.assert_array_equal(split.flag_support, pairs.flag_support)
+        np.testing.assert_array_equal(split.label_counts, pairs.label_counts)
+        assert split.n_users == pairs.n_users == 80
 
 
 class TestDrawIdenticalKernels:
-    """The one-hot kernel (a fixed ``ceil(width / 2)`` words per row) and
-    the Bloom kernel consume the generator row-major, so the batch is
-    draw-for-draw the per-user loop on the same generator."""
+    """The one-hot kernel consumes a fixed ``ceil(width / 2)`` words per
+    row, row-major, so the batch is draw-for-draw the per-user loop on
+    the same generator."""
 
-    @pytest.mark.parametrize("name", ["oue", "sue", "vp", "rappor"])
+    @pytest.mark.parametrize("name", ["adaptive-oue", "oue", "sue", "vp"])
     def test_privatize_many_equals_privatize_loop(self, name):
         values = _values(ORACLES[name](np.random.default_rng(0)), np.random.default_rng(3), n=64)
         batch = ORACLES[name](np.random.default_rng(42)).privatize_many(values)
@@ -236,34 +267,3 @@ class TestEngine:
         sizes = np.bincount(groups, minlength=3)
         per_report = mech.p + (mech.domain_size - 1) * mech.q
         assert np.abs(out.sum(axis=1) - per_report * sizes).max() < 30
-
-
-class TestStreamingEstimateFromReports:
-    """estimate_from_reports counts users during aggregation and never
-    materialises the report iterable."""
-
-    def test_generator_input_matches_list_input(self):
-        mech = GeneralizedRandomResponse(EPS, 8, rng=np.random.default_rng(13))
-        values = np.random.default_rng(14).integers(0, 8, size=300)
-        reports = list(mech.privatize_many(values))
-        from_list = mech.estimate(mech.aggregate(reports), len(reports))
-        from_generator = mech.estimate_from_reports(
-            (r for r in reports), chunk_size=17
-        )
-        np.testing.assert_allclose(from_generator, from_list)
-
-    @pytest.mark.parametrize("name", sorted(ORACLES))
-    def test_every_oracle_estimates_from_a_lazy_iterable(self, name):
-        mech = ORACLES[name](np.random.default_rng(15))
-        values = _values(mech, np.random.default_rng(16), n=120)
-        reports = [np.asarray(r) for r in np.asarray(mech.privatize_many(values))]
-        out = mech.estimate_from_reports(iter(reports), chunk_size=7)
-        expected = mech.estimate(mech.aggregate(reports), len(reports))
-        np.testing.assert_allclose(out, expected)
-
-    def test_ndarray_input_short_circuits(self):
-        mech = OptimizedUnaryEncoding(EPS, 6, rng=np.random.default_rng(17))
-        reports = mech.privatize_many(np.arange(6).repeat(10))
-        out = mech.estimate_from_reports(reports)
-        expected = mech.estimate(mech.aggregate_batch(reports), 60)
-        np.testing.assert_allclose(out, expected)

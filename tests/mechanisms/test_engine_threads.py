@@ -24,8 +24,9 @@ from repro.mechanisms import (
     AdaptiveMechanism,
     CorrelatedPerturbation,
     GeneralizedRandomResponse,
-    OptimalLocalHashing,
     OptimizedUnaryEncoding,
+    SymmetricUnaryEncoding,
+    ValidityPerturbation,
 )
 from repro.mechanisms import engine
 from repro.mechanisms.backends import KernelBackend
@@ -54,7 +55,9 @@ def _values(n=3000, domain=24, seed=0):
 ORACLE_FACTORIES = [
     lambda: GeneralizedRandomResponse(1.0, 24, rng=42),
     lambda: OptimizedUnaryEncoding(1.0, 24, rng=42),
-    lambda: OptimalLocalHashing(1.0, 24, rng=42),
+    lambda: SymmetricUnaryEncoding(1.0, 24, rng=42),
+    lambda: ValidityPerturbation(1.0, 24, rng=42),
+    lambda: AdaptiveMechanism(1.0, 24, rng=42),
 ]
 
 

@@ -1,18 +1,29 @@
 """ShardedAggregator process executor: picklable shard states round-trip
-through a process pool and produce the same counts as the thread path."""
+through a process pool and produce the same estimates as the thread path."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.mechanisms import GeneralizedRandomResponse
+from repro.exceptions import ConfigurationError, DomainError
 from repro.rng import spawn
 from repro.stream import ShardedAggregator, make_session
 
 
-def _report_batches(rng, n_batches=6, size=2000, d=16):
-    mech = GeneralizedRandomResponse(1.0, d, rng=rng)
-    return [mech.privatize_many(rng.integers(0, d, size)) for _ in range(n_batches)], mech
+def _sessions(n_shards, name="pts", mode="protocol", seed=0):
+    """Independently seeded session shards; equal arguments give equal shards."""
+    return [
+        make_session(name, epsilon=2.0, n_classes=3, n_items=16, mode=mode, rng=child)
+        for child in spawn(np.random.default_rng(seed), n_shards)
+    ]
+
+
+def _report_batches(rng, n_batches=6, size=2000):
+    return [
+        (rng.integers(0, 3, size), rng.integers(0, 16, size))
+        for _ in range(n_batches)
+    ]
 
 
 class TestProcessExecutor:
@@ -20,21 +31,31 @@ class TestProcessExecutor:
         with pytest.raises(ConfigurationError):
             ShardedAggregator([object()], executor="fiber")
 
-    def test_accumulator_counts_match_thread_executor_exactly(self):
-        batches, mech = _report_batches(np.random.default_rng(0))
-        supports = {}
+    @pytest.mark.parametrize("mode", ["simulate", "protocol"])
+    @pytest.mark.parametrize("name", ["pts", "pts-cp"])
+    def test_process_estimates_match_thread_executor_exactly(self, name, mode):
+        """Both executors equal the in-process round-robin reference: the
+        same seeded sessions fed the same batches, reduced with merge."""
+        batches = _report_batches(np.random.default_rng(0))
+        reference = _sessions(3, name, mode)
+        for index, batch in enumerate(batches):
+            reference[index % 3].ingest_batch(batch)
+        expected = reduce(lambda left, right: left.merge(right), reference)
         for executor in ("thread", "process"):
             with ShardedAggregator(
-                mech.accumulator, n_shards=3, executor=executor
+                _sessions(3, name, mode), executor=executor
             ) as aggregator:
                 futures = [aggregator.submit(batch) for batch in batches]
                 total = aggregator.drain()
                 merged = aggregator.merged()
-            assert total == sum(len(b) for b in batches)
-            assert all(future.result() == len(b) for future, b in zip(futures, batches))
-            supports[executor] = merged.support()
-            assert merged.n == total
-        np.testing.assert_array_equal(supports["thread"], supports["process"])
+            assert total == sum(len(b[0]) for b in batches)
+            assert all(
+                future.result() == len(b[0]) for future, b in zip(futures, batches)
+            )
+            assert merged.n_ingested == total
+            np.testing.assert_array_equal(
+                merged.estimate(), expected.estimate(), err_msg=executor
+            )
 
     def test_sessions_ingest_and_estimate_through_the_pool(self):
         rng = np.random.default_rng(1)
@@ -56,23 +77,22 @@ class TestProcessExecutor:
     def test_waiting_on_a_submit_future_triggers_the_drain(self):
         """The thread-mode contract holds: submit(...).result() works
         without an explicit drain()."""
-        batches, mech = _report_batches(np.random.default_rng(4), n_batches=3)
-        with ShardedAggregator(mech.accumulator, n_shards=2, executor="process") as agg:
+        batches = _report_batches(np.random.default_rng(4), n_batches=3)
+        with ShardedAggregator(_sessions(2), executor="process") as agg:
             futures = [agg.submit(batch) for batch in batches]
-            assert futures[0].result() == len(batches[0])
-            assert all(f.result() == len(b) for f, b in zip(futures, batches))
-            assert agg.merged().n == sum(len(b) for b in batches)
+            assert futures[0].result() == len(batches[0][0])
+            assert all(f.result() == len(b[0]) for f, b in zip(futures, batches))
+            assert agg.merged().n_ingested == sum(len(b[0]) for b in batches)
 
     def test_close_drains_pending_batches(self):
-        batches, mech = _report_batches(np.random.default_rng(2), n_batches=2)
-        aggregator = ShardedAggregator(mech.accumulator, n_shards=2, executor="process")
+        batches = _report_batches(np.random.default_rng(2), n_batches=2)
+        aggregator = ShardedAggregator(_sessions(2), executor="process")
         futures = [aggregator.submit(batch) for batch in batches]
         aggregator.close()
-        assert all(future.result() == len(b) for future, b in zip(futures, batches))
+        assert all(future.result() == len(b[0]) for future, b in zip(futures, batches))
 
     def test_shard_errors_propagate(self):
-        mech = GeneralizedRandomResponse(1.0, 4, rng=np.random.default_rng(3))
-        with ShardedAggregator(mech.accumulator, n_shards=1, executor="process") as agg:
-            agg.submit(np.asarray([99]))  # outside the domain
-            with pytest.raises(Exception):
+        with ShardedAggregator(_sessions(1), executor="process") as agg:
+            agg.submit((np.asarray([99]), np.asarray([0])))  # bad label
+            with pytest.raises(DomainError):
                 agg.drain()

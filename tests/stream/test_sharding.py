@@ -1,31 +1,55 @@
 """ShardedAggregator: fan-out, merge reduction, error propagation."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.mechanisms import GeneralizedRandomResponse, OptimalLocalHashing
-from repro.stream import CountAccumulator, ShardedAggregator, make_session
+from repro.exceptions import ConfigurationError, DomainError
+from repro.rng import spawn
+from repro.stream import ShardedAggregator, make_session
 
 
-def _report_batches(rng, batches=6, size=50, domain=5):
-    return [rng.integers(0, domain, size) for _ in range(batches)]
+def _sessions(n_shards, name="pts", mode="protocol", seed=0):
+    """Independently seeded session shards; equal arguments give equal shards."""
+    return [
+        make_session(name, epsilon=2.0, n_classes=3, n_items=16, mode=mode, rng=child)
+        for child in spawn(np.random.default_rng(seed), n_shards)
+    ]
+
+
+def _batches(seed=0, n_batches=6, size=400):
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.integers(0, 3, size), rng.integers(0, 16, size))
+        for _ in range(n_batches)
+    ]
+
+
+def _round_robin_merge(shards, batches):
+    """The in-process reference: feed the shards round-robin, then reduce
+    them with ``merge``."""
+    for index, batch in enumerate(batches):
+        shards[index % len(shards)].ingest_batch(batch)
+    return reduce(lambda left, right: left.merge(right), shards)
 
 
 class TestFanOut:
-    def test_sharded_equals_single_accumulator(self, rng):
-        """Protocol reports aggregate to identical counts however sharded."""
-        mech = GeneralizedRandomResponse(1.0, 5, rng=rng)
-        batches = [mech.privatize_many(b) for b in _report_batches(rng)]
-        single = mech.accumulator()
-        for batch in batches:
-            single.ingest_batch(batch)
+    @pytest.mark.parametrize("mode", ["simulate", "protocol"])
+    @pytest.mark.parametrize("name", ["pts", "pts-cp"])
+    def test_sharded_equals_round_robin_merge(self, name, mode):
+        """Sharded ingestion is exactly the in-process round-robin
+        reference, whatever the shard count."""
+        batches = _batches()
         for n_shards in (1, 2, 4):
-            with ShardedAggregator(mech.accumulator, n_shards=n_shards) as agg:
+            reference = _round_robin_merge(
+                _sessions(n_shards, name, mode), batches
+            )
+            with ShardedAggregator(_sessions(n_shards, name, mode)) as agg:
                 total = agg.ingest(iter(batches))
                 merged = agg.merged()
-            assert total == sum(len(b) for b in batches)
-            np.testing.assert_array_equal(merged.support(), single.support())
+            assert total == merged.n_ingested == reference.n_ingested == 2400
+            np.testing.assert_array_equal(merged.estimate(), reference.estimate())
 
     def test_tuple_batches_reach_sessions(self, rng):
         shards = [
@@ -40,39 +64,27 @@ class TestFanOut:
         assert merged.n_ingested == 5
         assert merged.estimate().shape == (2, 4)
 
-    def test_tuple_batches_reach_accumulators(self, rng):
-        """An accumulator's own tuple batch form survives the fan-out
-        (OLH's (a, b, r) columns must not be splatted apart)."""
-        mech = OptimalLocalHashing(1.0, 9, rng=rng)
-        reports = np.asarray([mech.privatize(int(v)) for v in rng.integers(0, 9, 40)])
-        single = mech.accumulator()
-        single.ingest_batch(reports)
-        with ShardedAggregator(mech.accumulator, n_shards=2) as agg:
-            agg.submit((reports[:20, 0], reports[:20, 1], reports[:20, 2]))
-            agg.submit(reports[20:])
-            merged = agg.merged()
-        assert merged.n == single.n
-        np.testing.assert_array_equal(merged.support(), single.support())
-
-    def test_pinned_shard(self, rng):
-        with ShardedAggregator(lambda: CountAccumulator(4), n_shards=3) as agg:
-            agg.submit(np.asarray([0, 1]), shard=2)
+    def test_pinned_shard(self):
+        with ShardedAggregator(_sessions(3)) as agg:
+            agg.submit((np.asarray([0, 1]), np.asarray([2, 3])), shard=2)
             agg.drain()
             parts = agg.partials()
-        assert parts[2].n == 2
-        assert parts[0].n == parts[1].n == 0
+        assert parts[2].n_ingested == 2
+        assert parts[0].n_ingested == parts[1].n_ingested == 0
 
-    def test_single_shard_merged_is_a_snapshot(self, rng):
+    def test_single_shard_merged_is_a_snapshot(self):
         """merged() must detach from the live shard even with one shard,
         so a mid-stream snapshot stays frozen while ingestion continues."""
-        with ShardedAggregator(lambda: CountAccumulator(4), n_shards=1) as agg:
-            agg.submit(np.asarray([0, 1]))
+        first, second = _batches(n_batches=2)
+        with ShardedAggregator(_sessions(1, "pts-cp")) as agg:
+            agg.submit(first)
             snapshot = agg.merged()
-            assert snapshot.n == 2
-            agg.submit(np.asarray([2, 3, 3]))
+            frozen = snapshot.estimate()
+            agg.submit(second)
             agg.drain()
-        assert snapshot.n == 2
-        np.testing.assert_array_equal(snapshot.support(), [1, 1, 0, 0])
+            assert agg.merged().n_ingested == 800
+        assert snapshot.n_ingested == 400
+        np.testing.assert_array_equal(snapshot.estimate(), frozen)
 
     def test_single_shard_session_merged_is_a_snapshot(self):
         shards = [
@@ -86,34 +98,34 @@ class TestFanOut:
             agg.drain()
         assert snapshot.n_ingested == 2
 
-    def test_partials_drain_first(self, rng):
-        with ShardedAggregator(lambda: CountAccumulator(4), n_shards=2) as agg:
+    def test_partials_drain_first(self):
+        with ShardedAggregator(_sessions(2)) as agg:
             for _ in range(4):
-                agg.submit(np.asarray([1, 2, 3]))
+                agg.submit((np.asarray([0, 1, 2]), np.asarray([1, 2, 3])))
             parts = agg.partials()
-        assert sum(p.n for p in parts) == 12
+        assert sum(p.n_ingested for p in parts) == 12
 
 
 class TestLifecycle:
     def test_submit_after_close_rejected(self):
-        agg = ShardedAggregator(lambda: CountAccumulator(4), n_shards=1)
+        agg = ShardedAggregator(_sessions(1))
         agg.close()
         with pytest.raises(ConfigurationError):
-            agg.submit(np.asarray([0]))
+            agg.submit((np.asarray([0]), np.asarray([0])))
 
     def test_shard_errors_surface_at_drain(self):
-        with ShardedAggregator(lambda: CountAccumulator(4), n_shards=2) as agg:
-            agg.submit(np.asarray([0, 99]))  # outside the domain
-            with pytest.raises(Exception):
+        with ShardedAggregator(_sessions(2)) as agg:
+            agg.submit((np.asarray([0, 99]), np.asarray([0, 1])))  # bad label
+            with pytest.raises(DomainError):
                 agg.drain()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ShardedAggregator([])
         with pytest.raises(ConfigurationError):
-            ShardedAggregator(lambda: CountAccumulator(4), n_shards=0)
+            ShardedAggregator(lambda: _sessions(1)[0], n_shards=0)
         with pytest.raises(ConfigurationError):
-            ShardedAggregator([CountAccumulator(4)], n_shards=2)
+            ShardedAggregator(_sessions(1), n_shards=2)
         with pytest.raises(ConfigurationError):
-            with ShardedAggregator([CountAccumulator(4)]) as agg:
-                agg.submit(np.asarray([0]), shard=5)
+            with ShardedAggregator(_sessions(1)) as agg:
+                agg.submit((np.asarray([0]), np.asarray([0])), shard=5)

@@ -1,17 +1,16 @@
 """Zero-copy shared-memory shard transport: the pack/attach codec and
 the ShardedAggregator process-mode transports built on it.
 
-The acceptance bar for the transport swap is *exactness*: counts through
-``transport="shm"`` must equal counts through ``transport="pickle"`` and
-through the thread executor, batch for batch — the transport moves
-bytes, never semantics.
+The acceptance bar for the transport swap is *exactness*: estimates
+through ``transport="shm"`` must equal estimates through
+``transport="pickle"`` and through the thread executor, bit for bit —
+the transport moves bytes, never semantics.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.mechanisms import GeneralizedRandomResponse
+from repro.exceptions import ConfigurationError, DomainError
 from repro.obs import metrics as obs_metrics
 from repro.rng import spawn
 from repro.stream import ShardedAggregator, make_session
@@ -141,26 +140,37 @@ class TestTransportResolution:
             resolve_transport("shm")
 
     def test_thread_executor_accepts_no_transport(self):
-        mech = GeneralizedRandomResponse(1.0, 4, rng=0)
         with pytest.raises(ConfigurationError):
-            ShardedAggregator(mech.accumulator, n_shards=1, transport="shm")
-        with ShardedAggregator(mech.accumulator, n_shards=1) as aggregator:
+            ShardedAggregator(_sessions(1), transport="shm")
+        with ShardedAggregator(_sessions(1)) as aggregator:
             assert aggregator.transport is None
 
 
-def _report_batches(rng, n_batches=6, size=1500, d=16):
-    mech = GeneralizedRandomResponse(1.0, d, rng=rng)
-    batches = [
-        mech.privatize_many(rng.integers(0, d, size)) for _ in range(n_batches)
+def _sessions(n_shards, name="pts", mode="protocol", seed=0):
+    """Independently seeded session shards; equal arguments give equal shards."""
+    return [
+        make_session(name, epsilon=2.0, n_classes=3, n_items=16, mode=mode, rng=child)
+        for child in spawn(np.random.default_rng(seed), n_shards)
     ]
-    return batches, mech
+
+
+def _report_batches(rng, n_batches=6, size=1500):
+    return [
+        (rng.integers(0, 3, size), rng.integers(0, 16, size))
+        for _ in range(n_batches)
+    ]
+
+
+def _users(batches):
+    return sum(len(labels) for labels, _items in batches)
 
 
 @pytest.mark.skipif(not shm.shm_supported(), reason="no usable shared memory")
 class TestShmAggregation:
-    def test_counts_exact_across_transports_and_executors(self):
-        batches, mech = _report_batches(np.random.default_rng(0))
-        supports = {}
+    @pytest.mark.parametrize("name", ["pts", "pts-cp"])
+    def test_estimates_exact_across_transports_and_executors(self, name):
+        batches = _report_batches(np.random.default_rng(0))
+        estimates = {}
         configs = [
             ("thread", None),
             ("process", "pickle"),
@@ -168,19 +178,18 @@ class TestShmAggregation:
         ]
         for executor, transport in configs:
             with ShardedAggregator(
-                mech.accumulator,
-                n_shards=3,
+                _sessions(3, name),
                 executor=executor,
                 transport=transport,
             ) as aggregator:
                 total = aggregator.ingest(batches)
                 merged = aggregator.merged()
-            assert total == sum(len(batch) for batch in batches)
-            assert merged.n == total
-            supports[(executor, transport)] = merged.support()
-        reference = supports[("thread", None)]
-        np.testing.assert_array_equal(reference, supports[("process", "pickle")])
-        np.testing.assert_array_equal(reference, supports[("process", "shm")])
+            assert total == _users(batches)
+            assert merged.n_ingested == total
+            estimates[(executor, transport)] = merged.estimate()
+        reference = estimates[("thread", None)]
+        np.testing.assert_array_equal(reference, estimates[("process", "pickle")])
+        np.testing.assert_array_equal(reference, estimates[("process", "shm")])
 
     def test_sessions_tuple_batches_over_shm(self):
         rng = np.random.default_rng(1)
@@ -205,9 +214,9 @@ class TestShmAggregation:
         import glob
 
         before = set(glob.glob("/dev/shm/*"))
-        batches, mech = _report_batches(np.random.default_rng(2), n_batches=4)
+        batches = _report_batches(np.random.default_rng(2), n_batches=4)
         with ShardedAggregator(
-            mech.accumulator, n_shards=2, executor="process", transport="shm"
+            _sessions(2), executor="process", transport="shm"
         ) as aggregator:
             aggregator.ingest(batches)
             aggregator.ingest(batches)
@@ -215,35 +224,40 @@ class TestShmAggregation:
         assert after - before == set()
 
     def test_failed_drain_is_all_or_nothing(self):
-        mech = GeneralizedRandomResponse(1.0, 4, rng=np.random.default_rng(3))
-        good = mech.privatize_many(np.asarray([0, 1, 2, 3]))
+        first, second, third = _report_batches(
+            np.random.default_rng(3), n_batches=3
+        )
         with ShardedAggregator(
-            mech.accumulator, n_shards=1, executor="process", transport="shm"
+            _sessions(1), executor="process", transport="shm"
         ) as aggregator:
-            assert aggregator.ingest([good]) == 4
-            aggregator.submit(np.asarray([99]))  # outside the domain
-            with pytest.raises(Exception):
+            assert aggregator.ingest([first]) == 1500
+            aggregator.submit(second)  # folds, then the next batch fails
+            aggregator.submit((np.asarray([99]), np.asarray([0])))  # bad label
+            with pytest.raises(DomainError):
                 aggregator.drain()
-            merged = aggregator.merged()
-        assert merged.n == 4  # the failed drain left the shard untouched
+            assert aggregator.merged().n_ingested == 1500
+            # The worker kept its state from before the failed drain, so
+            # that drain's good batch never counts.
+            assert aggregator.ingest([third]) == 1500
+            assert aggregator.merged().n_ingested == 3000
 
     def test_snapshots_are_detached_from_live_workers(self):
-        batches, mech = _report_batches(np.random.default_rng(4), n_batches=2)
+        batches = _report_batches(np.random.default_rng(4), n_batches=2)
         with ShardedAggregator(
-            mech.accumulator, n_shards=2, executor="process", transport="shm"
+            _sessions(2), executor="process", transport="shm"
         ) as aggregator:
             aggregator.ingest(batches[:1])
             frozen = aggregator.merged()
-            frozen_n = frozen.n
+            frozen_n = frozen.n_ingested
             aggregator.ingest(batches[1:])
-            assert frozen.n == frozen_n  # snapshot frozen mid-stream
-            assert aggregator.merged().n == sum(len(b) for b in batches)
+            assert frozen.n_ingested == frozen_n  # snapshot frozen mid-stream
+            assert aggregator.merged().n_ingested == _users(batches)
 
     def test_transport_bytes_counted_when_telemetry_enabled(self):
-        batches, mech = _report_batches(np.random.default_rng(5), n_batches=2)
+        batches = _report_batches(np.random.default_rng(5), n_batches=2)
         with obs_metrics.enabled():
             with ShardedAggregator(
-                mech.accumulator, n_shards=1, executor="process", transport="shm"
+                _sessions(1), executor="process", transport="shm"
             ) as aggregator:
                 aggregator.ingest(batches)
                 snapshot = obs_metrics.get_registry().snapshot()
@@ -254,10 +268,10 @@ class TestShmAggregation:
 @pytest.mark.skipif(not shm.shm_supported(), reason="no usable shared memory")
 class TestPickleTransportParity:
     def test_pickle_transport_still_supported(self):
-        batches, mech = _report_batches(np.random.default_rng(6), n_batches=3)
+        batches = _report_batches(np.random.default_rng(6), n_batches=3)
         with ShardedAggregator(
-            mech.accumulator, n_shards=2, executor="process", transport="pickle"
+            _sessions(2), executor="process", transport="pickle"
         ) as aggregator:
             assert aggregator.transport == "pickle"
             total = aggregator.ingest(batches)
-        assert total == sum(len(batch) for batch in batches)
+        assert total == _users(batches)

@@ -1,8 +1,13 @@
 """The repro-bench CLI and bench harness plumbing."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.bench import EXPERIMENTS, format_table
 from repro.cli import main
 
@@ -19,6 +24,24 @@ class TestFormatTable:
         out = format_table("T", ["v"], [[123456.0], [0.00012], [0.0]])
         assert "1.23e+05" in out
         assert "0.00012" in out
+
+
+class TestImportFootprint:
+    def test_serve_and_cli_load_no_scipy(self):
+        """numpy is the only runtime dependency: a fresh interpreter that
+        imports the collector and the CLI loads no scipy module."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        code = (
+            "import sys, repro.serve, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestRegistry:
