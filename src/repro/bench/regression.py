@@ -61,11 +61,11 @@ def extract_rates(payload: dict) -> dict[str, float]:
 def config_summary(payload: dict) -> Optional[str]:
     """The execution configuration a bench artifact's rates belong to.
 
-    Pulls the kernel backend, engine thread schedule and shard transport
-    from the artifact's ``meta`` block (and top-level ``executor``), so
-    the gate can flag comparisons across differing configurations — a
-    numba-backed fresh run against a numpy baseline clears the gate
-    trivially, and the inverse would fail it for the wrong reason.
+    Pulls the kernel backend, engine thread schedule and tracing state
+    from the artifact's ``meta`` block, so the gate can flag comparisons
+    across differing configurations — a numba-backed fresh run against a
+    numpy baseline clears the gate trivially, and the inverse would fail
+    it for the wrong reason.
     """
     meta = payload.get("meta") or {}
     parts = []
@@ -76,12 +76,6 @@ def config_summary(payload: dict) -> Optional[str]:
         parts.append(f"backend={backend}")
     if meta.get("threads") is not None:
         parts.append(f"threads={meta['threads']}")
-    executor = payload.get("executor")
-    if executor:
-        parts.append(f"executor={executor}")
-    transport = meta.get("transport") or payload.get("transport")
-    if transport:
-        parts.append(f"transport={transport}")
     tracing = meta.get("tracing")
     if isinstance(tracing, dict) and (
         tracing.get("enabled") or tracing.get("dropped")
@@ -104,7 +98,7 @@ def compare(
     ``regressions`` holds the series keys that dropped by more than
     ``threshold``; ``lines`` is a human-readable account of every shared
     series plus notes for one-sided ones and for differing run
-    configurations (backend / threads / transport).
+    configurations (backend / threads / tracing).
     """
     base_rates = extract_rates(baseline)
     fresh_rates = extract_rates(fresh)

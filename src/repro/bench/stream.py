@@ -81,8 +81,6 @@ def run_stream_benchmark(
     epsilon: float = 1.0,
     frameworks: Sequence[str] = STREAM_FRAMEWORKS,
     mode: str = "simulate",
-    executor: str = "thread",
-    transport: Optional[str] = None,
     backend: Optional[str] = None,
     artifact: Optional[str] = None,
 ) -> tuple[str, dict]:
@@ -93,10 +91,8 @@ def run_stream_benchmark(
     root); an unwritable location is reported in the table note rather
     than aborting the run, so the benchmark works from installed
     packages too.  Explicit ``n_users`` / ``n_shards`` / ``batch_size``
-    override the scale's defaults.  ``transport`` picks the process-mode
-    batch transport (shared-memory views or pickle; meaningless — and
-    rejected — for the thread executor), ``backend`` pins the kernel
-    backend for the run; both land in the artifact so a recorded rate is
+    override the scale's defaults.  ``backend`` pins the kernel backend
+    for the run; it lands in the artifact so a recorded rate is
     attributable to its configuration.
     """
     if scale not in SCALES:
@@ -132,7 +128,6 @@ def run_stream_benchmark(
     # meta block.  (spawn_seeds + ensure_rng reproduces spawn()'s exact
     # generator streams while capturing the seeds for the meta block.)
     registry = obs_metrics.get_registry()
-    resolved_transport = None
     with use_backend(backend), obs_metrics.enabled():
         run_backend = backend_info()
         for name in frameworks:
@@ -150,12 +145,7 @@ def run_stream_benchmark(
                 for seed_value in seeds
             ]
             with obs_metrics.span("bench_stream_seconds", framework=name) as timer:
-                with ShardedAggregator(
-                    sessions,
-                    executor=executor,
-                    transport=transport if executor == "process" else None,
-                ) as aggregator:
-                    resolved_transport = aggregator.transport
+                with ShardedAggregator(sessions) as aggregator:
                     for item in batches:
                         aggregator.submit(item)
                     aggregator.drain()
@@ -194,8 +184,6 @@ def run_stream_benchmark(
         "n_items": d,
         "batch_size": batch,
         "n_shards": shards,
-        "executor": executor,
-        "transport": resolved_transport,
         "total_reports": total_reports,
         "peak_rss_mb": peak_rss_mb,
         "frameworks": per_framework,
@@ -203,7 +191,6 @@ def run_stream_benchmark(
             shard_seeds=shard_seeds,
             metrics=registry.snapshot(),
             backend=run_backend,
-            transport=resolved_transport,
         ),
     }
     artifact_path = Path(artifact) if artifact is not None else _artifact_path()
@@ -215,9 +202,7 @@ def run_stream_benchmark(
 
     report = format_table(
         f"Streaming ingestion throughput (scale={scale}, c={c}, d={d}, "
-        f"eps={epsilon}, shards={shards}, batch={batch}, executor={executor}"
-        + (f", transport={resolved_transport}" if resolved_transport else "")
-        + ")",
+        f"eps={epsilon}, shards={shards}, batch={batch})",
         ["framework", "reports", "batches", "sec", "reports/sec", "RMSE"],
         rows,
         note=(

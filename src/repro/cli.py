@@ -8,7 +8,7 @@ Examples::
     repro-bench fig7
     repro-bench table3 --scale full --seed 7
     repro-bench all
-    repro-bench stream --scale quick --shards 4 --executor process
+    repro-bench stream --scale quick --shards 4
     repro-bench protocol --quick
     repro-bench serve --users 120000 --connections 8
     repro-bench drift --scale quick --seed 3
@@ -89,24 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="reports per ingested batch (serve: reports per wire frame)",
-    )
-    stream.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default=None,
-        help=(
-            "shard executor: per-shard threads (default) or persistent "
-            "per-shard worker processes"
-        ),
-    )
-    stream.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default=None,
-        help=(
-            "process-executor batch transport: zero-copy shared-memory "
-            "views (default where supported) or pickled pipes"
-        ),
     )
     kernels = parser.add_argument_group("kernel backend options")
     kernels.add_argument(
@@ -270,8 +252,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     flag_scopes = (
         ("--shards", args.shards, ("stream", "serve")),
         ("--batch-size", args.batch_size, ("stream", "serve")),
-        ("--executor", args.executor, ("stream",)),
-        ("--transport", args.transport, ("stream",)),
         ("--backend", args.backend, ("stream", "protocol")),
         ("--threads", args.threads, ("protocol",)),
         ("--connections", args.connections, ("serve",)),
@@ -296,21 +276,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.experiment == "stream":
         from .bench.stream import run_stream_benchmark
 
-        if args.transport is not None and (args.executor or "thread") != "process":
-            print(
-                "--transport applies to --executor process only",
-                file=sys.stderr,
-            )
-            return 2
-
         report, _payload = run_stream_benchmark(
             scale=args.scale or bench_scale(),
             seed=args.seed,
             n_users=args.users,
             n_shards=args.shards,
             batch_size=args.batch_size,
-            executor=args.executor or "thread",
-            transport=args.transport,
             backend=args.backend,
         )
         emit("stream", report)
@@ -393,24 +364,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="default aggregation shards per hosted session",
     )
     parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "shard executor for hosted framework sessions: per-shard "
-            "threads (default) or persistent worker processes"
-        ),
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default=None,
-        help=(
-            "process-executor batch transport (default: shared-memory "
-            "views where supported)"
-        ),
-    )
-    parser.add_argument(
         "--flush-reports",
         type=int,
         default=65_536,
@@ -476,8 +429,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
             flush_reports=args.flush_reports,
             high_water=args.high_water,
             coalesce_frames=args.coalesce,
-            executor=args.executor,
-            transport=args.transport,
         )
         await collector.start()
         print(f"repro-serve: collecting reports on {collector.host}:{collector.port}")
@@ -490,8 +441,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
                 enable_tracing,
                 get_registry,
                 get_tracer,
-                merge_snapshots,
-                render_snapshot,
                 start_metrics_server,
             )
             from .obs.http import JSON_CONTENT_TYPE
@@ -501,17 +450,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
             # them next to the collector's always-exact wire counters.
             enable()
             enable_tracing()
-
-            def render_all() -> str:
-                # Fold shard-worker snapshots (shipped back on drains,
-                # relabelled per worker/session) in with the live
-                # registries, so one scrape covers every process.
-                snapshots = [
-                    collector.metrics.snapshot(),
-                    get_registry().snapshot(),
-                ]
-                snapshots.extend(collector.registry.worker_metrics())
-                return render_snapshot(merge_snapshots(snapshots))
 
             def healthz_route():
                 verdict = collector.health()
@@ -530,7 +468,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
                 args.host,
                 args.metrics_port,
                 (collector.metrics, get_registry()),
-                render=render_all,
                 routes={"/healthz": healthz_route, "/traces": traces_route},
             )
             print(

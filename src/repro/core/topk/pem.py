@@ -36,6 +36,7 @@ from .reporting import (
     EXECUTION_MODES,
     INVALID_MODES,
     split_counts_over_iterations,
+    split_total_over_iterations,
 )
 from .trie import bits_needed
 
@@ -159,7 +160,9 @@ class PEMMiner:
 
         iterations = self.n_iterations
         cohorts = split_counts_over_iterations(counts, iterations, rng)
-        invalid_cohorts = self._split_scalar(n_always_invalid, iterations, rng)
+        invalid_cohorts = split_total_over_iterations(
+            n_always_invalid, iterations, rng
+        )
 
         prefixes = np.arange(1 << self.start_bits, dtype=np.int64)
         depth = self.start_bits
@@ -197,18 +200,3 @@ class PEMMiner:
             supports=support,
             candidates=candidates,
         )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _split_scalar(
-        total: int, n_parts: int, rng: np.random.Generator
-    ) -> list[int]:
-        """Split a user count into near-equal random cohorts."""
-        if total < 0:
-            raise DomainError(f"cannot split a negative count: {total}")
-        if total == 0:
-            return [0] * n_parts
-        parts = split_counts_over_iterations(np.asarray([total]), n_parts, rng)
-        return [int(part[0]) for part in parts]

@@ -210,6 +210,18 @@ def split_counts_over_iterations(
     return parts
 
 
+def split_total_over_iterations(
+    total: int, n_iterations: int, rng: np.random.Generator
+) -> list[int]:
+    """Split a user count into near-equal random cohorts."""
+    if total < 0:
+        raise DomainError(f"cannot split a negative count: {total}")
+    if total == 0:
+        return [0] * n_iterations
+    parts = split_counts_over_iterations(np.asarray([total]), n_iterations, rng)
+    return [int(part[0]) for part in parts]
+
+
 def top_indices(support: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest supports, ties toward lower index.
 

@@ -49,6 +49,7 @@ from .reporting import (
     EXECUTION_MODES,
     iteration_support,
     split_counts_over_iterations,
+    split_total_over_iterations,
     top_indices,
 )
 from .shuffling import assign_buckets
@@ -266,7 +267,9 @@ class MultiClassTopK:
         if self.use_shuffle:
             iterations = bucket_iteration_count(d, k)
             cohorts = split_counts_over_iterations(valid_counts, iterations, rng)
-            invalid_cohorts = _split_scalar(n_always_invalid, iterations, rng)
+            invalid_cohorts = split_total_over_iterations(
+                n_always_invalid, iterations, rng
+            )
             candidates = np.arange(d, dtype=np.int64)
             for cohort, extra in zip(cohorts[:-1], invalid_cohorts[:-1]):
                 outcome = bucket_prune_once(
@@ -586,13 +589,3 @@ class MultiClassTopK:
         if self.n_classes == 1:
             return np.asarray(inflows, dtype=np.float64)
         return (np.asarray(inflows, dtype=np.float64) - n_phase2 * q1) / (p1 - q1)
-
-
-def _split_scalar(total: int, n_parts: int, rng: np.random.Generator) -> list[int]:
-    """Split a user count into near-equal random cohorts."""
-    if total < 0:
-        raise DomainError(f"cannot split a negative count: {total}")
-    if total == 0:
-        return [0] * n_parts
-    parts = split_counts_over_iterations(np.asarray([total]), n_parts, rng)
-    return [int(part[0]) for part in parts]

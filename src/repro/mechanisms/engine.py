@@ -118,8 +118,8 @@ def _telemetry(oracle, n_reports: int):
     """Per-call engine telemetry handle, or ``None`` while telemetry is off.
 
     Instruments are fetched from the process registry per *call*, never
-    cached on oracles or sessions — session objects are pickled into
-    process-pool workers and must not carry lock-bearing instruments.
+    cached on oracles or sessions — a cached one would outlive a
+    ``clear()`` of the registry and count into a series no snapshot shows.
     """
     registry = _obs.get_registry()
     if not registry.enabled:

@@ -37,7 +37,6 @@ from .metrics import (
     enabled,
     get_registry,
     merge_snapshots,
-    relabel_snapshot,
     series_key,
     span,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "enabled",
     "span",
     "merge_snapshots",
-    "relabel_snapshot",
     "render",
     "render_snapshot",
     "write_snapshot",

@@ -247,7 +247,7 @@ def evaluate_health(
                 round(quantile, 6),
                 f"{family} p{int(policy.flush_quantile * 100)} "
                 f"~{quantile:.4f}s",
-                session=labels.get("session") or labels.get("executor"),
+                session=labels.get("session"),
             )
         )
 

@@ -229,8 +229,9 @@ class MetricsRegistry:
         self._lock = threading.RLock()
         self._metrics: dict[str, object] = {}
         # (cls, name, labels-items) -> instrument; skips series_key
-        # formatting on repeat fetches — hot paths fetch per call (never
-        # caching on picklable sessions), so this lookup is the fast path.
+        # formatting on repeat fetches — hot paths fetch per call (sessions
+        # and oracles never cache instruments), so this lookup is the fast
+        # path.
         self._fetch_memo: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
@@ -423,33 +424,3 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     for section in ("counters", "gauges", "histograms"):
         merged[section] = dict(sorted(merged[section].items()))
     return merged
-
-
-def relabel_snapshot(snapshot: dict, **labels: LabelValue) -> dict:
-    """A copy of ``snapshot`` with ``labels`` appended to every series.
-
-    Shard worker processes ship their registry snapshots back to the
-    parent piggybacked on drain replies; relabelling them (e.g.
-    ``worker="shard0"``) before :func:`merge_snapshots` keeps a worker's
-    ``stream_ingested_total`` from colliding with — and silently
-    replacing — the parent's own series of the same name.
-    """
-    if not labels:
-        return snapshot
-    extra = ",".join(
-        f'{key}="{_escape_label(value)}"' for key, value in sorted(labels.items())
-    )
-
-    def rekey(series: str) -> str:
-        brace = series.find("{")
-        if brace < 0:
-            return f"{series}{{{extra}}}"
-        return f"{series[:-1]},{extra}}}"
-
-    out = {"schema": snapshot.get("schema", SNAPSHOT_SCHEMA)}
-    for section in ("counters", "gauges", "histograms"):
-        out[section] = {
-            rekey(series): value
-            for series, value in snapshot.get(section, {}).items()
-        }
-    return out

@@ -6,11 +6,10 @@ layer did; this module records *where a given batch went*.  A
 is born client-side, rides the wire protocol's optional ``trace`` field
 (HELLO/QUERY JSON frames; REPORTS frames inherit the connection's
 context), follows the collector's decode→ring→flush→drain pipeline, and
-crosses :mod:`repro.stream.sharding` worker-process boundaries alongside
-the shm manifest.  Completed spans land in a bounded overwrite ring
-(:class:`SpanRing`) on the process-wide :class:`Tracer`; shard workers
-ship their spans back piggybacked on drain replies, so one ring holds
-the whole request path.
+rides each batch onto its :mod:`repro.stream.sharding` shard thread.
+Completed spans land in a bounded overwrite ring (:class:`SpanRing`) on
+the process-wide :class:`Tracer`, so one ring holds the whole request
+path.
 
 Everything here is **zero-cost while tracing is off** (the default):
 :func:`trace_span` with a disabled tracer or a ``None`` context returns
@@ -278,9 +277,8 @@ class Tracer:
         thread: Optional[str] = None,
         **args,
     ) -> None:
-        """Record one completed span (the raw form — used by the span
-        context manager, and to fold spans shipped back from shard worker
-        processes into the parent's ring)."""
+        """Record one completed span (the raw form behind the span
+        context manager)."""
         if not self._enabled or ctx is None:
             return
         self.ring.append(
@@ -297,14 +295,6 @@ class Tracer:
                 "args": args,
             }
         )
-
-    def adopt(self, records) -> None:
-        """Fold foreign span records (a shard worker's reply payload)
-        into this ring; records are trusted to carry the span fields."""
-        if not self._enabled:
-            return
-        for record in records:
-            self.ring.append(dict(record))
 
     # ------------------------------------------------------------------
     # export

@@ -12,7 +12,8 @@ zero-copy body views, which decode in a single pass straight into the
 session's columnar ring buffer — no per-frame ndarray, no per-frame
 event-loop wakeup.  The event loop only ever buffers and routes; the
 actual privatisation/aggregation work runs on the drain adapters' worker
-threads, so ingestion for one session overlaps with queries on another.
+threads — one per shard of a framework session, one per top-k miner — so
+ingestion for one session overlaps with queries on another.
 
 Backpressure is end-to-end: a session above its high-water mark of
 unprocessed reports parks the connection coroutine after the offending
@@ -58,7 +59,7 @@ class ReportCollector:
     coalesce_frames:
         Most consecutive REPORTS frames decoded as one batch per
         event-loop wakeup (``1`` disables coalescing).
-    default_shards / flush_reports / high_water / record / executor / transport:
+    default_shards / flush_reports / high_water / record:
         Registry defaults when ``registry`` is omitted (see
         :class:`~repro.serve.registry.SessionRegistry`).
     metrics:
@@ -82,8 +83,6 @@ class ReportCollector:
         record: bool = False,
         max_sessions: int = 256,
         metrics: Optional[MetricsRegistry] = None,
-        executor: str = "thread",
-        transport: Optional[str] = None,
         health_policy: Optional[HealthPolicy] = None,
     ) -> None:
         if flush_interval <= 0:
@@ -109,8 +108,6 @@ class ReportCollector:
                 record=record,
                 max_sessions=max_sessions,
                 metrics=self.metrics,
-                executor=executor,
-                transport=transport,
             )
         self._bind_host = host
         self._bind_port = port

@@ -46,7 +46,6 @@ from ..mechanisms.engine import batch_spans
 from ..obs import trace as _trace
 from ..obs.log import log_event
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry, Span
-from ..obs.metrics import relabel_snapshot
 from ..rng import ensure_rng, spawn
 from ..stream import (
     AggregatorDrain,
@@ -190,21 +189,12 @@ def canonical_config(raw: dict, default_shards: int = 1) -> dict:
     return config
 
 
-def _build_drain(
-    config: dict,
-    record: bool,
-    executor: str = "thread",
-    transport: Optional[str] = None,
-):
+def _build_drain(config: dict, record: bool):
     """The drain adapter for a canonical config.
 
     Framework shards spawn their generators from the config seed with
     :func:`repro.rng.spawn`, so a recorded run replays offline from the
     same seed (see :func:`repro.stream.drain.replay_drain_log`).
-    ``executor``/``transport`` are server-level deployment knobs (see
-    :class:`~repro.stream.sharding.ShardedAggregator`), not part of the
-    cohort config — they do not affect the statistics, only where shard
-    states live and how batches reach them.
     """
     decay = dict(
         decay=config["decay"],
@@ -225,12 +215,7 @@ def _build_drain(
             )
             for child in children
         ]
-        aggregator = ShardedAggregator(
-            shards,
-            executor=executor,
-            transport=transport if executor == "process" else None,
-        )
-        return AggregatorDrain(aggregator, record=record, **decay)
+        return AggregatorDrain(ShardedAggregator(shards), record=record, **decay)
     miner = OnlineTopKSession(
         k=config["k"],
         epsilon=config["epsilon"],
@@ -256,8 +241,6 @@ class HostedSession:
         high_water: int = 262_144,
         record: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        executor: str = "thread",
-        transport: Optional[str] = None,
     ) -> None:
         if flush_reports < 1:
             raise ServeError(f"flush_reports must be >= 1, got {flush_reports}")
@@ -274,7 +257,7 @@ class HostedSession:
         self.flush_reports = int(flush_reports)
         self.high_water = int(high_water)
         self.low_water = max(1, self.high_water // 2)
-        self._drain = _build_drain(config, record, executor, transport)
+        self._drain = _build_drain(config, record)
         self._ring = ReportRing(capacity=max(2 * self.flush_reports, 8192))
         self._arena = FlushArena()
         self._drift = DriftDetector()
@@ -775,16 +758,6 @@ class HostedSession:
             "stall_seconds": float(self.stall_seconds),
         }
 
-    def worker_metrics(self) -> list[dict]:
-        """Metrics snapshots shipped back from this session's shard
-        worker processes, relabelled with the session id (on top of the
-        aggregator's per-shard ``worker`` label) so two sessions' workers
-        never collide when merged into one exposition."""
-        return [
-            relabel_snapshot(snapshot, session=self.session_id)
-            for snapshot in self._drain.worker_metrics()
-        ]
-
     def close(self) -> None:
         self._drain.close()
 
@@ -812,8 +785,6 @@ class SessionRegistry:
         record: bool = False,
         max_sessions: int = 256,
         metrics: Optional[MetricsRegistry] = None,
-        executor: str = "thread",
-        transport: Optional[str] = None,
     ) -> None:
         self.default_shards = int(default_shards)
         self.flush_reports = int(flush_reports)
@@ -821,8 +792,6 @@ class SessionRegistry:
         self.record = bool(record)
         self.max_sessions = int(max_sessions)
         self.metrics = metrics
-        self.executor = executor
-        self.transport = transport
         self._sessions: dict[str, HostedSession] = {}
 
     def open(self, raw_config: dict) -> tuple[HostedSession, bool]:
@@ -848,8 +817,6 @@ class SessionRegistry:
             high_water=self.high_water,
             record=self.record,
             metrics=self.metrics,
-            executor=self.executor,
-            transport=self.transport,
         )
         self._sessions[config["session"]] = hosted
         if self.metrics is not None:
@@ -869,14 +836,6 @@ class SessionRegistry:
 
     def sessions(self) -> list[HostedSession]:
         return list(self._sessions.values())
-
-    def worker_metrics(self) -> list[dict]:
-        """Every hosted session's shard-worker metrics snapshots (see
-        :meth:`HostedSession.worker_metrics`)."""
-        snapshots: list[dict] = []
-        for hosted in self.sessions():
-            snapshots.extend(hosted.worker_metrics())
-        return snapshots
 
     async def settle_all(self) -> None:
         for hosted in self.sessions():

@@ -33,6 +33,10 @@ decay points from thresholds, which differing batch splits would move);
 the generation counter lets caches detect state changes that no submit
 accompanied.
 
+A failed :meth:`~BatchDrain.drain` waits for every queued batch before
+it re-raises the first error in submission order, so no batch is still
+ingesting once the caller sees the failure.
+
 Adapters are not thread-safe: callers serialise ``submit``/``drain``
 (the serve collector holds one asyncio lock per hosted session).
 """
@@ -47,6 +51,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..obs import metrics as _obs
 from ..obs import trace as _trace
+from .sharding import sum_batch_results
 from .window import WindowPolicy
 
 #: Shard slot of a decay event in the drain log.
@@ -126,12 +131,6 @@ class BatchDrain:
     def snapshot(self):
         """Queryable state covering everything drained so far."""
         raise NotImplementedError
-
-    def worker_metrics(self) -> list[dict]:
-        """Metrics snapshots from any worker processes behind this
-        adapter (see :meth:`ShardedAggregator.worker_metrics`); empty
-        for in-process targets."""
-        return []
 
     def close(self) -> None:
         raise NotImplementedError
@@ -248,9 +247,6 @@ class AggregatorDrain(BatchDrain):
         self.drain()
         return self._aggregator.merged()
 
-    def worker_metrics(self) -> list[dict]:
-        return self._aggregator.worker_metrics()
-
     def close(self) -> None:
         self._aggregator.close()
 
@@ -312,7 +308,7 @@ class SessionDrain(BatchDrain):
 
     def drain(self) -> int:
         futures, self._futures = self._futures, []
-        drained = sum(int(future.result() or 0) for future in futures)
+        drained = sum_batch_results(futures)
         self.n_drained += drained
         self._observe_drain(drained)
         self._apply_decay(drained)

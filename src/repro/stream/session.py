@@ -161,8 +161,8 @@ class OnlineFrameworkSession:
     def _count_ingested(self, n: int) -> int:
         self._n += n
         # Instruments are fetched per call, never cached on the session:
-        # sessions pickle into process-pool shard workers and must not
-        # carry lock-bearing telemetry objects.
+        # a cached one would outlive a clear() of the process registry
+        # and count into a series no snapshot shows.
         registry = _obs.get_registry()
         if registry.enabled:
             registry.counter(

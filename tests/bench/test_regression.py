@@ -145,6 +145,17 @@ class TestTracingMeta:
         assert config_summary(lossy) == "tracing=on spans_dropped=808"
 
 
+class TestLegacyFields:
+    def test_executor_fields_of_old_baselines_are_ignored(self):
+        """Stream artifacts written while shards had an executor choice
+        carry top-level ``executor``/``transport`` fields; they compare
+        cleanly against fresh runs, which no longer write them."""
+        old = dict(STREAM_PAYLOAD, executor="thread", transport=None)
+        assert config_summary(old) is None
+        _, lines = compare(old, STREAM_PAYLOAD)
+        assert not any("configurations differ" in line for line in lines)
+
+
 class TestCLI:
     def _write(self, tmp_path, name, payload):
         path = tmp_path / name

@@ -8,6 +8,7 @@ from repro.datasets import LabelItemDataset
 from repro.core.frameworks import make_framework
 from repro.mechanisms.kernels import perturb_onehot_batch
 from repro.obs import metrics as obs_metrics
+from repro.obs import render_snapshot
 from repro.rng import ensure_rng
 from repro.stream import ShardedAggregator, make_session
 
@@ -124,3 +125,62 @@ class TestStreamInstrumentation:
         ]
         assert drain_histograms and drain_histograms[0]["count"] >= 1
         assert "shard_imbalance_batches" in snap["gauges"]
+
+
+def _shard_sessions(n_shards, seed=5):
+    return [
+        make_session(
+            "pts", epsilon=2.0, n_classes=3, n_items=16, rng=ensure_rng(seed + shard)
+        )
+        for shard in range(n_shards)
+    ]
+
+
+def _ingested(snapshot):
+    return sum(
+        v for k, v in snapshot["counters"].items()
+        if k.startswith("stream_ingested_total")
+    )
+
+
+class TestShardTelemetry:
+    """Shard threads share the process registry, so their ingest counts
+    land in it directly — one series set, no per-shard copies to fold."""
+
+    def test_shard_ingest_counters_land_in_the_registry(self, registry):
+        labels, items = _population(n=12_000)
+        with ShardedAggregator(_shard_sessions(2)) as aggregator:
+            for start in range(0, 12_000, 3_000):
+                aggregator.submit(
+                    (labels[start:start + 3_000], items[start:start + 3_000])
+                )
+            aggregator.drain()
+        snap = registry.snapshot()
+        assert _ingested(snap) == 12_000
+        assert "stream_ingested_total" in render_snapshot(snap)
+
+    def test_repeated_drains_accumulate(self, registry):
+        labels, items = _population(n=6_000)
+        with ShardedAggregator(_shard_sessions(2)) as aggregator:
+            assert aggregator.ingest([(labels, items)]) == 6_000
+            assert aggregator.ingest([(labels, items), (labels, items)]) == 12_000
+        snap = registry.snapshot()
+        assert _ingested(snap) == 18_000
+        assert snap["counters"]["shard_drained_reports_total"] == 18_000
+        assert snap["histograms"]["shard_drain_seconds"]["count"] == 2
+
+    def test_imbalance_gauge_is_the_batch_tally_spread(self, registry):
+        labels, items = _population(n=40)
+        with ShardedAggregator(_shard_sessions(3)) as aggregator:
+            for _ in range(3):
+                aggregator.submit((labels, items), shard=0)
+            aggregator.submit((labels, items), shard=1)
+            aggregator.drain()
+        assert registry.snapshot()["gauges"]["shard_imbalance_batches"] == 3
+
+    def test_disabled_registry_records_nothing(self, registry):
+        registry.disable()
+        labels, items = _population(n=600)
+        with ShardedAggregator(_shard_sessions(2)) as aggregator:
+            assert aggregator.ingest([(labels, items)] * 2) == 1_200
+        assert len(registry) == 0

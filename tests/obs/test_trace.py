@@ -142,32 +142,6 @@ class TestTracer:
         assert record["span_id"] == root.span_id
         assert record["parent_id"] is None
 
-    def test_adopt_folds_foreign_records(self):
-        tracer = Tracer(enabled=True)
-        tracer.adopt(
-            [
-                {
-                    "name": "shard.ingest",
-                    "cat": "shard",
-                    "trace_id": "t1",
-                    "span_id": "s1",
-                    "parent_id": "p1",
-                    "start": 1.0,
-                    "duration": 0.5,
-                    "service": "shard0",
-                    "thread": "worker",
-                    "args": {"shard": 0},
-                }
-            ]
-        )
-        [record] = tracer.ring.spans()
-        assert record["service"] == "shard0"
-
-    def test_adopt_is_noop_while_disabled(self):
-        tracer = Tracer(enabled=False)
-        tracer.adopt([{"name": "x"}])
-        assert len(tracer.ring) == 0
-
     def test_tracing_enabled_restores_prior_state(self):
         tracer = get_tracer()
         was = tracer.enabled

@@ -14,6 +14,7 @@ from repro.serve import (
     ServeError,
     generate_load,
 )
+from repro.serve.registry import MAX_SHARDS
 from repro.stream import make_session, replay_drain_log
 
 
@@ -559,6 +560,17 @@ class TestServiceBehaviour:
 
         run(scenario())
 
+    def test_too_many_shards_refused(self):
+        async def scenario():
+            async with ReportCollector() as collector:
+                with pytest.raises(ServeError, match="shards must be in"):
+                    await ReportClient.connect(
+                        collector.host, collector.port,
+                        **_config(session="wide", shards=MAX_SHARDS + 1),
+                    )
+
+        run(scenario())
+
     def test_unknown_config_keys_refused(self):
         async def scenario():
             async with ReportCollector() as collector:
@@ -594,6 +606,33 @@ class TestServiceBehaviour:
         load, stats = run(scenario())
         assert load["reports"] == 20_000
         assert stats["n_ingested"] == 20_000
+
+    def test_backpressure_releases_without_a_query(self):
+        """A client that only sends, into a two-shard session past the
+        high-water mark, is resumed by the shard batches completing: it
+        needs no query in flight to drain the backlog."""
+        labels, items = _population(n=60_000)
+        config = _config(
+            session="sendonly", framework="pts", mode="protocol", shards=2
+        )
+
+        async def scenario():
+            async with ReportCollector(
+                flush_reports=4096, high_water=8192
+            ) as collector:
+                client = await ReportClient.connect(
+                    collector.host, collector.port, **config
+                )
+                sent = await asyncio.wait_for(
+                    client.send(labels, items, chunk_size=2048), 30
+                )
+                ingested = await client.close()
+                return sent, ingested, collector.metrics.snapshot()
+
+        sent, ingested, snapshot = run(scenario())
+        assert sent == ingested == 60_000
+        key = 'serve_backpressure_pause_total{session="sendonly"}'
+        assert snapshot["counters"][key] >= 1  # the backlog did pause the client
 
     def test_single_report_per_user_protocol_message(self):
         config = _config(session="single")

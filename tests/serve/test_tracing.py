@@ -1,15 +1,14 @@
 """End-to-end request tracing and health verdicts over the serve plane.
 
 The acceptance path: a traced client session against a collector with
-process-executor shards exports ONE Chrome trace-event document in which
-a single trace id links the client's submit spans to the collector's
-ingest/flush spans and the shard workers' ingest spans."""
+two shards exports ONE Chrome trace-event document in which a single
+trace id links the client's submit spans to the collector's ingest/flush
+spans and the shard threads' ingest spans."""
 
 import asyncio
 import time
 
 import numpy as np
-import pytest
 
 from repro.obs import trace as obs_trace
 from repro.obs.trace import get_tracer, tracing_enabled
@@ -50,16 +49,15 @@ def _names_by_trace(spans, trace_id):
 
 
 class TestTracedEndToEnd:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_one_trace_id_links_client_collector_and_shards(self, executor):
-        """Acceptance: client submit, collector ingest/flush, shard-worker
+    def test_one_trace_id_links_client_collector_and_shards(self):
+        """Acceptance: client submit, collector ingest/flush, shard
         ingest, and the query all share the client's root trace id in a
         single exported Chrome trace document."""
         labels, items = _population()
-        config = _config(session=f"trace-{executor}")
+        config = _config(session="trace-shards")
 
         async def scenario():
-            async with ReportCollector(executor=executor) as collector:
+            async with ReportCollector() as collector:
                 client = await ReportClient.connect(
                     collector.host, collector.port, **config
                 )
@@ -97,11 +95,6 @@ class TestTracedEndToEnd:
             "collector.flush",
             "shard.ingest",
         }
-        # shard spans run in a different service row than the client's
-        services = {e["pid"] for e in traced if e["name"] == "shard.ingest"}
-        client_rows = {e["pid"] for e in traced if e["name"] == "client.send"}
-        if executor == "process":
-            assert services and client_rows and services != client_rows
         assert document["otherData"]["dropped_spans"] == 0
 
         # parenting: collector.flush descends from the announced root

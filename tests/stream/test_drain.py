@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from functools import reduce
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DomainError
+from repro.obs.trace import TraceContext, get_tracer, tracing_enabled
 from repro.rng import ensure_rng, spawn
 from repro.stream import (
     DECAY_EVENT,
@@ -37,6 +38,20 @@ def _shards(seed, n_shards, mode="protocol"):
 
 
 class TestAggregatorDrain:
+    def test_failed_drain_waits_for_every_batch(self):
+        """The batch on the other shard is done by the time the bad
+        batch's error reaches the caller, not still ingesting."""
+        rng = np.random.default_rng(10)
+        with AggregatorDrain(ShardedAggregator(_shards(12, 2))) as drain:
+            drain.submit([0, 7], [1, 2])  # bad label, round-robin shard 0
+            landed = drain.submit(
+                rng.integers(0, 3, 300_000), rng.integers(0, 32, 300_000)
+            )
+            with pytest.raises(DomainError):
+                drain.drain()
+            assert landed.done()
+            assert drain.aggregator.merged().n_ingested == 300_000
+
     def test_drain_log_replays_to_exact_merged_state(self):
         batches = _batches()
         with AggregatorDrain(
@@ -229,6 +244,24 @@ class TestSessionDrain:
         assert len(drain.drain_log) == 5
         drain.close()
 
+    def test_failed_drain_waits_for_every_batch(self):
+        """The batch queued behind a failing one is done by the time the
+        error reaches the caller, not still ingesting."""
+        session = OnlineTopKSession(
+            k=3, epsilon=2.0, n_classes=2, n_items=16,
+            rng=np.random.default_rng(8),
+        )
+        rng = np.random.default_rng(9)
+        with SessionDrain(session) as drain:
+            drain.submit([0, 7], [1, 2])  # bad label
+            landed = drain.submit(
+                rng.integers(0, 2, 300_000), rng.integers(0, 16, 300_000)
+            )
+            with pytest.raises(DomainError):
+                drain.drain()
+            assert landed.done()
+            assert session.round_ingested == 300_000
+
     def test_decay_rejected_for_targets_without_decay(self):
         session = OnlineTopKSession(
             k=2, epsilon=1.0, n_classes=2, n_items=8,
@@ -299,3 +332,40 @@ class TestSessionDecay:
             for field in session._STATE_FIELDS
         )
         assert session.n_ingested == 0
+
+
+def _traced_spans(drain, batches, trace):
+    """Spans recorded while ``drain`` ingests ``batches`` under ``trace``."""
+    tracer = get_tracer()
+    with tracing_enabled():
+        tracer.ring.clear()
+        try:
+            with drain:
+                for labels, items in batches:
+                    drain.submit(labels, items, trace=trace)
+                drain.drain()
+            return tracer.ring.spans()
+        finally:
+            tracer.ring.clear()
+
+
+class TestDrainTracing:
+    def test_aggregator_drain_hands_the_trace_to_each_shard(self):
+        root = TraceContext.root()
+        drain = AggregatorDrain(ShardedAggregator(_shards(18, 2)))
+        spans = _traced_spans(drain, _batches(n=1024), root)
+        ingest = [span for span in spans if span["name"] == "shard.ingest"]
+        assert sorted(span["args"]["shard"] for span in ingest) == [0, 1]
+        assert all(span["parent_id"] == root.span_id for span in ingest)
+
+    def test_session_drain_records_one_span_per_batch(self):
+        root = TraceContext.root()
+        session = OnlineTopKSession(
+            k=2, epsilon=2.0, n_classes=3, n_items=32,
+            rng=np.random.default_rng(19),
+        )
+        spans = _traced_spans(SessionDrain(session), _batches(n=1024), root)
+        ingest = [span for span in spans if span["name"] == "session.ingest"]
+        assert len(ingest) == 2
+        assert all(span["trace_id"] == root.trace_id for span in ingest)
+        assert all(span["parent_id"] == root.span_id for span in ingest)

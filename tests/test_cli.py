@@ -136,25 +136,6 @@ class TestCLI:
             assert stats["users_per_sec"] > 0
             assert stats["baseline_users_per_sec"] > 0
 
-    def test_stream_executor_flag(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_stream.json"
-        monkeypatch.setenv("REPRO_BENCH_STREAM_ARTIFACT", str(artifact))
-        assert (
-            main(
-                [
-                    "stream", "--users", "8000", "--batch-size", "4000",
-                    "--shards", "2", "--executor", "process",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(artifact.read_text())
-        assert payload["executor"] == "process"
-        assert payload["total_reports"] == 4 * 8000
-
     def test_list_mentions_serve(self, capsys):
         assert main(["--list"]) == 0
         assert "serve" in capsys.readouterr().out
@@ -191,9 +172,15 @@ class TestCLI:
         assert "--connections" in capsys.readouterr().err
         assert main(["table1", "--connections", "2"]) == 2
 
-    def test_executor_flag_rejected_for_serve(self, capsys):
-        assert main(["serve", "--executor", "process"]) == 2
-        assert "--executor" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    def test_shard_executor_flags_are_gone(self, capsys, command):
+        """Shards always run on threads: neither command takes an
+        executor or a transport."""
+        for flag, value in (("--executor", "process"), ("--transport", "shm")):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, flag, value])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_list_mentions_drift(self, capsys):
         assert main(["--list"]) == 0
