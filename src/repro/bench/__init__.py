@@ -4,7 +4,8 @@
 ``pytest benchmarks/ --benchmark-only`` runs them all at laptop scale and
 persists the reports under ``benchmarks/results/``; the ``repro-bench``
 CLI (``python -m repro``) runs them individually, including at
-``--scale full``.
+``--scale full``.  Throughput, latency and memory are the repository
+benchmark's job (``perfbench/run.py``), not this package's.
 """
 
 from .experiments import EXPERIMENTS, run_experiment

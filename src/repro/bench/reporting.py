@@ -8,46 +8,8 @@ figure/table, printed to stdout and persisted under
 from __future__ import annotations
 
 import os
-import platform
-import sys
 from pathlib import Path
 from typing import Optional, Sequence
-
-#: Version of the bench artifact ``meta`` block layout.
-BENCH_META_SCHEMA = 1
-
-
-def bench_meta(**extra) -> dict:
-    """The schema-versioned ``meta`` block embedded in every bench artifact.
-
-    Records where and with what the run happened (host, platform, python
-    and numpy versions) plus whatever the bench adds — spawned RNG seeds
-    (so the run is exactly reproducible from the JSON alone) and a
-    telemetry registry snapshot.  A ``tracing`` block always rides along
-    (enabled flag, retained and dropped span counts) so the regression
-    gate can flag a baseline-vs-fresh run whose observability configs
-    differ — tracing overhead must never masquerade as a code
-    regression.  ``None``-valued extras are elided.
-    """
-    import numpy
-
-    from ..obs.trace import get_tracer
-
-    tracer = get_tracer()
-    meta = {
-        "schema": BENCH_META_SCHEMA,
-        "host": platform.node(),
-        "platform": platform.platform(),
-        "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
-        "tracing": {
-            "enabled": bool(tracer.enabled),
-            "spans": int(tracer.ring.total),
-            "dropped": int(tracer.ring.dropped),
-        },
-    }
-    meta.update({key: value for key, value in extra.items() if value is not None})
-    return meta
 
 
 def format_table(
@@ -80,23 +42,6 @@ def _fmt(value: object) -> str:
             return f"{value:.3g}"
         return f"{value:.3f}".rstrip("0").rstrip(".")
     return str(value)
-
-
-def artifact_path(env_var: str, filename: str) -> Path:
-    """Where a machine-readable bench artifact is written.
-
-    The ``env_var`` override wins; otherwise a src-layout checkout gets
-    the repo-root path (installed packages would resolve into the
-    interpreter's lib directory, so fall back to the working directory
-    there).  Shared by the stream and protocol throughput benches.
-    """
-    override = os.environ.get(env_var)
-    if override:
-        return Path(override)
-    root = Path(__file__).resolve().parents[3]
-    if (root / "src" / "repro").is_dir():
-        return root / filename
-    return Path.cwd() / filename
 
 
 def results_dir() -> Path:

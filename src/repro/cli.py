@@ -1,6 +1,5 @@
 """Command-line entry points: regenerate the paper's tables and figures,
-run the streaming / protocol / serve throughput benchmarks, and host the
-standalone report collector.
+inspect the telemetry plane, and host the standalone report collector.
 
 Examples::
 
@@ -8,10 +7,6 @@ Examples::
     repro-bench fig7
     repro-bench table3 --scale full --seed 7
     repro-bench all
-    repro-bench stream --scale quick --shards 4
-    repro-bench protocol --quick
-    repro-bench serve --users 120000 --connections 8
-    repro-bench drift --scale quick --seed 3
     repro-bench obs dump --format=prom   # telemetry snapshot
     repro-bench obs trace --output trace.json   # Chrome trace export
     python -m repro fig6           # equivalent module form
@@ -19,6 +14,8 @@ Examples::
     repro-serve --port 9009        # standalone collector
     repro-serve --metrics-port 9100 --log-json serve.jsonl
     python -m repro.serve          # equivalent module form
+
+Throughput is measured by the repository benchmark, ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -28,10 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from .bench.experiments import EXPERIMENTS, run_experiment
-from .bench.reporting import bench_scale, emit
-
-#: Benchmark pseudo-experiments with their own option groups.
-BENCHES = ("stream", "protocol", "serve", "drift")
+from .bench.reporting import emit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,13 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         nargs="?",
-        help=(
-            f"experiment id ({', '.join(sorted(EXPERIMENTS))}), 'all', "
-            "'stream' (streaming ingestion benchmark), 'protocol' "
-            "(protocol-mode throughput benchmark), 'serve' "
-            "(report-collection service benchmark), or 'drift' "
-            "(time-varying stream staleness/recall benchmark)"
-        ),
+        help=f"experiment id ({', '.join(sorted(EXPERIMENTS))}) or 'all'",
     )
     parser.add_argument(
         "--scale",
@@ -69,78 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument(
         "--list", action="store_true", help="list available experiments and exit"
-    )
-    bench = parser.add_argument_group("stream/protocol benchmark options")
-    bench.add_argument(
-        "--users",
-        type=int,
-        default=None,
-        help="population override (reports/users; drift: reports per step)",
-    )
-    stream = parser.add_argument_group("stream/serve benchmark options")
-    stream.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker shards (stream default: one per CPU, capped at 8)",
-    )
-    stream.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="reports per ingested batch (serve: reports per wire frame)",
-    )
-    kernels = parser.add_argument_group("kernel backend options")
-    kernels.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "numba"),
-        default=None,
-        help=(
-            "kernel backend for the run (default: REPRO_BACKEND or "
-            "'auto' — numba where importable, else numpy)"
-        ),
-    )
-    kernels.add_argument(
-        "--threads",
-        default=None,
-        help=(
-            "engine block-thread count for protocol mode: an integer or "
-            "'auto' (default: REPRO_THREADS or serial execution)"
-        ),
-    )
-    serve = parser.add_argument_group("serve benchmark options")
-    serve.add_argument(
-        "--connections",
-        type=int,
-        default=None,
-        help="client connection count (default: the scale's grid)",
-    )
-    serve.add_argument(
-        "--flush-reports",
-        type=int,
-        default=None,
-        help="collector micro-batch size drained per flush (default 65536)",
-    )
-    serve.add_argument(
-        "--high-water",
-        type=int,
-        default=None,
-        help="collector backpressure ceiling in reports (default 262144)",
-    )
-    serve.add_argument(
-        "--coalesce",
-        type=int,
-        default=None,
-        help=(
-            "most REPORTS frames decoded per event-loop wakeup "
-            "(default 64; 1 disables coalescing)"
-        ),
-    )
-    serve.add_argument(
-        "--flush-interval",
-        type=float,
-        default=None,
-        help="collector background sweep period in seconds (default 0.05)",
     )
     return parser
 
@@ -171,9 +87,9 @@ def build_obs_parser() -> argparse.ArgumentParser:
         "--input",
         default=None,
         help=(
-            "read the snapshot from a file — either a raw registry "
-            "snapshot or a BENCH_*.json artifact (its meta.metrics block) "
-            "— instead of this process's live registry"
+            "read the snapshot from a file (a registry snapshot, as "
+            "'dump --format=json' prints one) instead of this process's "
+            "live registry"
         ),
     )
     parser.add_argument(
@@ -209,17 +125,11 @@ def obs_main(argv: Sequence[str]) -> int:
         return 0
     if args.input is not None:
         with open(args.input, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if "counters" in payload or "histograms" in payload:
-            snapshot = payload
-        elif "metrics" in payload.get("meta", {}):
-            snapshot = payload["meta"]["metrics"]
-        else:
-            print(
-                f"{args.input} holds neither a registry snapshot nor a "
-                "bench artifact with a meta.metrics block",
-                file=sys.stderr,
-            )
+            snapshot = json.load(handle)
+        if not isinstance(snapshot, dict) or not (
+            "counters" in snapshot or "histograms" in snapshot
+        ):
+            print(f"{args.input} is not a registry snapshot", file=sys.stderr)
             return 2
     else:
         snapshot = get_registry().snapshot()
@@ -244,96 +154,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in sorted(EXPERIMENTS):
             doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
             print(f"  {name:8s} {doc}")
-        print("  stream   Streaming ingestion throughput benchmark (reports/sec).")
-        print("  protocol Protocol-mode throughput benchmark (users/sec).")
-        print("  serve    Report-collection service benchmark (reports/sec).")
-        print("  drift    Time-varying stream staleness/recall benchmark.")
-        return 0
-    flag_scopes = (
-        ("--shards", args.shards, ("stream", "serve")),
-        ("--batch-size", args.batch_size, ("stream", "serve")),
-        ("--backend", args.backend, ("stream", "protocol")),
-        ("--threads", args.threads, ("protocol",)),
-        ("--connections", args.connections, ("serve",)),
-        ("--flush-reports", args.flush_reports, ("serve",)),
-        ("--high-water", args.high_water, ("serve",)),
-        ("--coalesce", args.coalesce, ("serve",)),
-        ("--flush-interval", args.flush_interval, ("serve",)),
-        ("--users", args.users, BENCHES),
-    )
-    bad_flags = [
-        flag
-        for flag, value, scopes in flag_scopes
-        if value is not None and args.experiment not in scopes
-    ]
-    if bad_flags:
-        print(
-            f"{', '.join(bad_flags)} do not apply to {args.experiment!r} "
-            "(benchmark-only options)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment == "stream":
-        from .bench.stream import run_stream_benchmark
-
-        report, _payload = run_stream_benchmark(
-            scale=args.scale or bench_scale(),
-            seed=args.seed,
-            n_users=args.users,
-            n_shards=args.shards,
-            batch_size=args.batch_size,
-            backend=args.backend,
-        )
-        emit("stream", report)
-        return 0
-    if args.experiment == "protocol":
-        from .bench.protocol import run_protocol_benchmark
-
-        threads = args.threads
-        if threads is not None and threads != "auto":
-            try:
-                threads = int(threads)
-            except ValueError:
-                print(
-                    f"--threads must be an integer or 'auto', got {threads!r}",
-                    file=sys.stderr,
-                )
-                return 2
-        report, _payload = run_protocol_benchmark(
-            scale=args.scale or bench_scale(),
-            seed=args.seed,
-            n_users=args.users,
-            backend=args.backend,
-            threads=threads,
-        )
-        emit("protocol", report)
-        return 0
-    if args.experiment == "drift":
-        from .bench.drift import run_drift_benchmark
-
-        report, _payload = run_drift_benchmark(
-            scale=args.scale or bench_scale(),
-            seed=args.seed,
-            reports_per_step=args.users,
-        )
-        emit("drift", report)
-        return 0
-    if args.experiment == "serve":
-        from .bench.serve import run_serve_benchmark
-
-        report, _payload = run_serve_benchmark(
-            scale=args.scale or bench_scale(),
-            seed=args.seed,
-            n_users=args.users,
-            n_connections=args.connections,
-            chunk_size=args.batch_size,
-            n_shards=args.shards,
-            flush_reports=args.flush_reports,
-            high_water=args.high_water,
-            coalesce=args.coalesce,
-            flush_interval=args.flush_interval,
-        )
-        emit("serve", report)
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

@@ -15,12 +15,13 @@ runtime:
 * ``auto`` (default) — numba when available, else numpy.
 
 Selection is process-wide: the ``REPRO_BACKEND`` environment variable or
-an explicit :func:`set_backend` call (the ``repro-bench protocol
---backend`` flag) picks the backend; kernels fetch their active
+an explicit :func:`set_backend` call (or the scoped :func:`use_backend`)
+picks the backend; kernels fetch their active
 implementation per call through :func:`get_kernel`, with a per-kernel
 NumPy fallback so a backend never has to implement the full table.  The
 active selection is recorded in the telemetry registry (when enabled)
-and surfaced to bench artifacts through :func:`backend_info`.
+and reported through :func:`backend_info`, which perfbench prints on
+its ``provenance:`` line.
 
 Whatever the backend, results are draw-for-draw and bit-for-bit
 identical to the NumPy reference — the seeded equivalence suite pins it.

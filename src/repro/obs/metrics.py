@@ -390,8 +390,7 @@ def span(
 class enabled:
     """Context manager: enable a registry for a scope, restore on exit.
 
-    The bench harness wraps each run in this so runtime metrics are
-    captured into the artifact ``meta`` block without leaving the
+    Captures runtime metrics for one run (or test) without leaving the
     process-wide registry switched on afterwards.
     """
 

@@ -41,7 +41,8 @@ Quickstart (one process; see ``examples/report_service.py``)::
     asyncio.run(main())
 
 Run a standalone collector with ``repro-serve`` (``python -m
-repro.serve``) and benchmark throughput with ``repro-bench serve``.
+repro.serve``); the repository benchmark (``perfbench/run.py``, its
+``serve-*`` workloads) measures its throughput and query latency.
 """
 
 from .client import ReportClient, fetch_health, fetch_stats, generate_load

@@ -570,8 +570,9 @@ class HostedSession:
         with nothing buffered and every submission drained, a repeated
         query answers straight from cache — no flush, no drain, no
         estimator re-run — until the next drain (or mining-round advance)
-        invalidates it.  "Drained" is the adapter's ``n_drained``, which
-        the previous query's drain settled before it returned; the
+        invalidates it.  "Drained" is the adapter's ``n_drained`` plus
+        its ``n_rejected`` (the reports of batches whose ingest raised),
+        which the previous query's drain settled before it returned; the
         loop-side ``_inflight`` count is not used, because its decrement
         arrives through a done callback that may run after that query
         has already answered.
@@ -579,10 +580,11 @@ class HostedSession:
         query = spec.get("query")
         cacheable = query in CACHEABLE_QUERIES
         key = json.dumps(spec, sort_keys=True) if cacheable else None
+        drain = self._drain
         if (
             cacheable
             and self._buffered == 0
-            and self._drain.n_drained == self._drain.n_submitted
+            and drain.n_drained + drain.n_rejected == drain.n_submitted
             and not self._lock.locked()
         ):
             entry = self._cached_query(key)
@@ -723,7 +725,9 @@ class HostedSession:
             "session": self.session_id,
             "kind": self.kind,
             "n_accepted": self.n_accepted,
-            "pending": self.n_accepted - self._drain.n_drained,
+            "pending": (
+                self.n_accepted - self._drain.n_drained - self._drain.n_rejected
+            ),
         }
         if self.kind == "topk":
             miner = self._drain.snapshot()

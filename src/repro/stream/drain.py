@@ -35,7 +35,10 @@ accompanied.
 
 A failed :meth:`~BatchDrain.drain` waits for every queued batch before
 it re-raises the first error in submission order, so no batch is still
-ingesting once the caller sees the failure.
+ingesting once the caller sees the failure.  It credits the batches that
+landed to :attr:`~BatchDrain.n_drained` and the failed batches' reports
+to :attr:`~BatchDrain.n_rejected` first, so the counters settle either
+way.
 
 Adapters are not thread-safe: callers serialise ``submit``/``drain``
 (the serve collector holds one asyncio lock per hosted session).
@@ -109,7 +112,12 @@ class BatchDrain:
         self.n_submitted = 0
         #: Reports folded into the underlying state across all drains.
         self.n_drained = 0
+        #: Reports of batches whose ingest raised.  Once a drain has
+        #: settled every submission, ``n_drained + n_rejected ==
+        #: n_submitted``.
+        self.n_rejected = 0
         self.drain_log: Optional[list[DrainLogEntry]] = [] if record else None
+        self._futures: list[Future] = []
 
     def _observe_drain(self, drained: int) -> None:
         registry = _obs.get_registry()
@@ -126,7 +134,36 @@ class BatchDrain:
         raise NotImplementedError
 
     def drain(self) -> int:
+        """Wait for every queued batch; returns the reports folded in.
+
+        When a batch raised, the batches that landed are still credited
+        and the failed ones counted as rejected before the first error
+        re-raises.
+        """
+        futures, self._futures = self._futures, []
+        try:
+            drained = self._wait(futures)
+        except Exception:
+            landed = sum(
+                int(future.result() or 0)
+                for future in futures
+                if not future.cancelled() and future.exception() is None
+            )
+            unsettled = self.n_submitted - self.n_drained - self.n_rejected
+            self.n_rejected += unsettled - landed
+            self._credit(landed)
+            raise
+        self._credit(drained)
+        return drained
+
+    def _wait(self, futures: list[Future]) -> int:
+        """Block until ``futures`` are done; their summed batch sizes."""
         raise NotImplementedError
+
+    def _credit(self, drained: int) -> None:
+        self.n_drained += drained
+        self._observe_drain(drained)
+        self._apply_decay(drained)
 
     def snapshot(self):
         """Queryable state covering everything drained so far."""
@@ -231,14 +268,14 @@ class AggregatorDrain(BatchDrain):
         self._next += 1
         self.n_submitted += int(labels.size)
         self._record(shard, labels, items)
-        return self._aggregator.submit((labels, items), shard=shard, trace=trace)
+        future = self._aggregator.submit((labels, items), shard=shard, trace=trace)
+        self._futures.append(future)
+        return future
 
-    def drain(self) -> int:
-        drained = self._aggregator.drain()
-        self.n_drained += drained
-        self._observe_drain(drained)
-        self._apply_decay(drained)
-        return drained
+    def _wait(self, futures: list[Future]) -> int:
+        # The aggregator queued the same futures; its drain waits for
+        # them and records the shard-drain telemetry.
+        return self._aggregator.drain()
 
     def snapshot(self):
         # Drain through the adapter first (not just inside merged()) so
@@ -278,7 +315,6 @@ class SessionDrain(BatchDrain):
             raise ConfigurationError(f"{target!r} does not support decay")
         self._target = target
         self._executor = ThreadPoolExecutor(max_workers=1)
-        self._futures: list[Future] = []
 
     @property
     def target(self):
@@ -306,13 +342,8 @@ class SessionDrain(BatchDrain):
         with _trace.get_tracer().span("session.ingest", trace, cat="shard"):
             return self._target.ingest_batch(batch)
 
-    def drain(self) -> int:
-        futures, self._futures = self._futures, []
-        drained = sum_batch_results(futures)
-        self.n_drained += drained
-        self._observe_drain(drained)
-        self._apply_decay(drained)
-        return drained
+    def _wait(self, futures: list[Future]) -> int:
+        return sum_batch_results(futures)
 
     def snapshot(self):
         self.drain()

@@ -6,8 +6,9 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.exceptions import DomainError
 from repro.serve import ReportClient, ReportCollector, protocol
-from repro.serve.protocol import WireError
+from repro.serve.protocol import ServeError, WireError
 from repro.serve.registry import HostedSession
 from repro.serve.ringbuf import (
     FlushArena,
@@ -15,6 +16,7 @@ from repro.serve.ringbuf import (
     ReportRing,
     _pow2_at_least,
 )
+from repro.stream.session import OnlineFrameworkSession
 
 
 def run(coro, timeout=120):
@@ -428,6 +430,50 @@ class TestEpochCachedQueries:
         np.testing.assert_array_equal(first, second)
         assert misses == 1
         assert hits == 1
+
+    def test_failed_drain_settles_cache_and_pending(self, monkeypatch):
+        """One shard batch raises: the query that drains it reports the
+        error, and after it a repeated estimate answers from cache and
+        ``stats`` reads no pending reports."""
+        ingest = OnlineFrameworkSession.ingest_batch
+        raised = []
+
+        def fail_once(self, labels, items=None):
+            if not raised:
+                raised.append(True)
+                raise DomainError("injected shard failure")
+            return ingest(self, labels, items)
+
+        monkeypatch.setattr(OnlineFrameworkSession, "ingest_batch", fail_once)
+        rng = np.random.default_rng(9)
+        labels = rng.integers(0, 3, 2000)
+        items = rng.integers(0, 32, 2000)
+        config = self._config(session="fastlane-reject")
+
+        async def scenario():
+            # 500-report sub-batches: the failing one cannot be all 2000.
+            async with ReportCollector(flush_reports=500) as collector:
+                client = await ReportClient.connect(
+                    collector.host, collector.port, **config
+                )
+                async with client:
+                    await client.send(labels, items)
+                    with pytest.raises(ServeError, match="injected"):
+                        await client.estimate()
+                    first = await client.estimate()
+                    second = await client.estimate()
+                    stats = await client.stats()
+                    hits, misses = self._cache_counters(
+                        collector, "fastlane-reject"
+                    )
+                return first, second, stats, hits, misses
+
+        first, second, stats, hits, misses = run(scenario())
+        np.testing.assert_array_equal(first, second)
+        assert (hits, misses) == (1, 1)
+        assert stats["n_accepted"] == 2000
+        assert stats["pending"] == 0
+        assert 0 < stats["n_ingested"] < 2000
 
     def test_new_reports_invalidate_the_cache(self):
         rng = np.random.default_rng(4)

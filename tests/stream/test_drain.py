@@ -52,6 +52,61 @@ class TestAggregatorDrain:
             assert landed.done()
             assert drain.aggregator.merged().n_ingested == 300_000
 
+    def test_failed_drain_credits_what_landed(self):
+        """The reports that landed count as drained and the bad batch's
+        as rejected, so the counters settle instead of lagging for good."""
+        shards = [
+            make_session("pts", epsilon=1.0, n_classes=3, n_items=32, rng=child)
+            for child in spawn(ensure_rng(12), 2)
+        ]
+        with AggregatorDrain(ShardedAggregator(shards)) as drain:
+            drain.submit([0, 7], [1, 2])  # bad label, round-robin shard 0
+            drain.submit([0, 1, 2], [3, 4, 5])  # shard 1
+            with pytest.raises(DomainError):
+                drain.drain()
+            assert drain.n_submitted == 5
+            assert drain.n_drained == drain.snapshot().n_ingested == 3
+            assert drain.n_rejected == 2
+            assert drain.drain() == 0
+            assert (drain.n_drained, drain.n_rejected) == (3, 2)
+
+    def test_successful_drain_rejects_nothing(self):
+        with AggregatorDrain(ShardedAggregator(_shards(3, 2))) as drain:
+            for labels, items in _batches(n=2000):
+                drain.submit(labels, items)
+            assert drain.drain() == 2000
+            assert (drain.n_submitted, drain.n_drained) == (2000, 2000)
+            assert drain.n_rejected == 0
+
+    def test_reports_after_a_failed_drain_are_credited(self):
+        with AggregatorDrain(ShardedAggregator(_shards(4, 2))) as drain:
+            drain.submit([0, 7], [1, 2])  # bad label, round-robin shard 0
+            drain.submit([0, 1, 2], [3, 4, 5])
+            with pytest.raises(DomainError):
+                drain.drain()
+            drain.submit([1, 2, 0, 1], [6, 7, 8, 9])
+            assert drain.drain() == 4
+            assert (drain.n_drained, drain.n_rejected) == (7, 2)
+            assert drain.snapshot().n_ingested == 7
+
+    def test_failed_drain_ages_the_reports_that_landed(self):
+        """The landed reports advance the decay schedule as a successful
+        drain's would, so a failure does not postpone ageing."""
+        drain = AggregatorDrain(
+            ShardedAggregator(_shards(6, 2, mode="simulate")),
+            decay=0.5,
+            decay_every=1000,
+        )
+        drain.submit([0, 7], [1, 2])  # bad label, round-robin shard 0
+        good = np.zeros(2000, dtype=np.int64)
+        drain.submit(good, good)
+        with pytest.raises(DomainError):
+            drain.drain()
+        assert drain.n_drained == 2000
+        assert drain.generation == 1
+        assert drain.snapshot().n_ingested <= 600
+        drain.close()
+
     def test_drain_log_replays_to_exact_merged_state(self):
         batches = _batches()
         with AggregatorDrain(
@@ -261,6 +316,49 @@ class TestSessionDrain:
                 drain.drain()
             assert landed.done()
             assert session.round_ingested == 300_000
+
+    def test_failed_drain_credits_what_landed(self):
+        session = OnlineTopKSession(
+            k=3, epsilon=2.0, n_classes=2, n_items=16,
+            rng=np.random.default_rng(8),
+        )
+        with SessionDrain(session) as drain:
+            drain.submit([0, 7], [1, 2])  # bad label
+            drain.submit([0, 1, 1], [3, 4, 5])
+            with pytest.raises(DomainError):
+                drain.drain()
+            assert drain.n_submitted == 5
+            assert drain.n_drained == drain.snapshot().n_ingested == 3
+            assert drain.n_rejected == 2
+
+    def test_successful_drain_rejects_nothing(self):
+        session = OnlineTopKSession(
+            k=3, epsilon=2.0, n_classes=2, n_items=16,
+            rng=np.random.default_rng(8),
+        )
+        with SessionDrain(session) as drain:
+            for labels, items in _batches(n=1000, c=2, d=16, batch=200):
+                drain.submit(labels, items)
+            assert drain.drain() == 1000
+            assert (drain.n_submitted, drain.n_drained) == (1000, 1000)
+            assert drain.n_rejected == 0
+
+    def test_every_batch_failing_rejects_every_report(self):
+        session = OnlineTopKSession(
+            k=3, epsilon=2.0, n_classes=2, n_items=16,
+            rng=np.random.default_rng(8),
+        )
+        with SessionDrain(session) as drain:
+            drain.submit([0, 7], [1, 2])  # bad label
+            drain.submit([9], [3])  # bad label
+            with pytest.raises(DomainError):
+                drain.drain()
+            assert (drain.n_drained, drain.n_rejected) == (0, 3)
+            drain.submit([0, 1], [3, 4])
+            assert drain.drain() == 2
+            assert (drain.n_submitted, drain.n_drained, drain.n_rejected) == (
+                5, 2, 3,
+            )
 
     def test_decay_rejected_for_targets_without_decay(self):
         session = OnlineTopKSession(

@@ -11,6 +11,20 @@ import repro
 from repro.bench import EXPERIMENTS, format_table
 from repro.cli import main
 
+#: The legacy bench commands' flags, each with a value it once took.
+REMOVED_FLAGS = (
+    ("--users", "1000"),
+    ("--shards", "2"),
+    ("--batch-size", "512"),
+    ("--backend", "numpy"),
+    ("--threads", "2"),
+    ("--connections", "2"),
+    ("--flush-reports", "4096"),
+    ("--high-water", "8192"),
+    ("--coalesce", "8"),
+    ("--flush-interval", "0.1"),
+)
+
 
 class TestFormatTable:
     def test_alignment_and_note(self):
@@ -81,142 +95,56 @@ class TestCLI:
         assert main(["table2", "--seed", "9"]) == 0
         assert "Table II" in capsys.readouterr().out
 
-    def test_list_mentions_stream(self, capsys):
-        assert main(["--list"]) == 0
-        assert "stream" in capsys.readouterr().out
-
-    def test_stream_subcommand(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_stream.json"
-        monkeypatch.setenv("REPRO_BENCH_STREAM_ARTIFACT", str(artifact))
-        assert (
-            main(
-                ["stream", "--users", "20000", "--batch-size", "4096", "--shards", "2"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "reports/sec" in out
-        assert (tmp_path / "stream.txt").exists()
-        payload = json.loads(artifact.read_text())
-        assert payload["total_reports"] == 4 * 20000
-        assert payload["n_shards"] == 2
-        assert set(payload["frameworks"]) == {"hec", "ptj", "pts", "pts-cp"}
-        for stats in payload["frameworks"].values():
-            assert stats["reports_per_sec"] > 0
-
-    def test_stream_flags_rejected_for_other_experiments(self, capsys):
-        assert main(["table1", "--users", "1000"]) == 2
-        assert "--users" in capsys.readouterr().err
-
-    def test_stream_only_flags_rejected_for_protocol(self, capsys):
-        assert main(["protocol", "--shards", "2"]) == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_list_mentions_protocol(self, capsys):
-        assert main(["--list"]) == 0
-        assert "protocol" in capsys.readouterr().out
-
-    def test_protocol_subcommand(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_protocol.json"
-        monkeypatch.setenv("REPRO_BENCH_PROTOCOL_ARTIFACT", str(artifact))
-        assert main(["protocol", "--quick", "--users", "4000"]) == 0
-        out = capsys.readouterr().out
-        assert "users/sec" in out
-        assert (tmp_path / "protocol.txt").exists()
-        payload = json.loads(artifact.read_text())
-        assert payload["n_users"] == 4000
-        assert set(payload["frameworks"]) == {"hec", "ptj", "pts", "pts-cp"}
-        for stats in payload["frameworks"].values():
-            assert stats["users_per_sec"] > 0
-            assert stats["baseline_users_per_sec"] > 0
-
-    def test_list_mentions_serve(self, capsys):
-        assert main(["--list"]) == 0
-        assert "serve" in capsys.readouterr().out
-
-    def test_serve_subcommand(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_serve.json"
-        monkeypatch.setenv("REPRO_BENCH_SERVE_ARTIFACT", str(artifact))
-        assert (
-            main(
-                [
-                    "serve", "--users", "12000", "--connections", "3",
-                    "--batch-size", "1024", "--shards", "2", "--seed", "5",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "reports/sec" in out
-        assert (tmp_path / "serve.txt").exists()
-        payload = json.loads(artifact.read_text())
-        assert payload["n_users"] == 12000
-        assert payload["n_shards"] == 2
-        assert len(payload["cells"]) == 1
-        cell = payload["cells"][0]
-        assert cell["connections"] == 3
-        assert cell["reports"] == 12000
-        assert cell["reports_per_sec"] > 0
-
-    def test_serve_only_flags_rejected_elsewhere(self, capsys):
-        assert main(["stream", "--connections", "2"]) == 2
-        assert "--connections" in capsys.readouterr().err
-        assert main(["table1", "--connections", "2"]) == 2
-
-    @pytest.mark.parametrize("command", ["stream", "serve"])
-    def test_shard_executor_flags_are_gone(self, capsys, command):
-        """Shards always run on threads: neither command takes an
-        executor or a transport."""
-        for flag, value in (("--executor", "process"), ("--transport", "shm")):
+    @pytest.mark.parametrize("command", ["stream", "protocol", "serve", "drift"])
+    def test_legacy_bench_commands_and_flags_are_gone(self, capsys, command):
+        """Throughput is perfbench's job: the legacy bench commands are
+        unknown experiments and their flags are not options."""
+        assert main([command]) == 2
+        assert f"unknown experiment {command!r}" in capsys.readouterr().err
+        for flag, value in REMOVED_FLAGS:
             with pytest.raises(SystemExit) as exit_info:
                 main([command, flag, value])
             assert exit_info.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_list_mentions_drift(self, capsys):
+    def test_list_names_exactly_the_paper_experiments(self, capsys):
         assert main(["--list"]) == 0
-        assert "drift" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Available experiments:"
+        assert [line.split()[0] for line in lines[1:]] == sorted(EXPERIMENTS)
 
-    def test_drift_subcommand(self, capsys, tmp_path, monkeypatch):
-        import json
+    @pytest.mark.parametrize(
+        ("env", "argv", "scale"),
+        [
+            (None, [], "quick"),
+            ("full", [], "full"),
+            ("FULL", [], "full"),
+            ("bogus", [], "quick"),
+            ("full", ["--quick"], "quick"),
+            ("quick", ["--scale", "full"], "full"),
+        ],
+        ids=["unset", "env-full", "env-case", "env-bogus", "flag-quick",
+             "flag-full"],
+    )
+    def test_scale_comes_from_the_environment_unless_given(
+        self, capsys, tmp_path, monkeypatch, env, argv, scale
+    ):
+        seen = []
 
+        def probe(scale, seed):
+            """Record the scale it runs at."""
+            seen.append(scale)
+            return "probe\n"
+
+        monkeypatch.setitem(EXPERIMENTS, "table1", probe)
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_drift.json"
-        monkeypatch.setenv("REPRO_BENCH_DRIFT_ARTIFACT", str(artifact))
-        assert main(["drift", "--quick", "--users", "600"]) == 0
-        out = capsys.readouterr().out
-        assert "staleness" in out and "recall" in out
-        assert (tmp_path / "drift.txt").exists()
-        payload = json.loads(artifact.read_text())
-        assert payload["reports_per_step"] == 600
-        # Every pattern runs under both advancement configs.
-        expected = {
-            f"{pattern}:{config}"
-            for pattern in ("ramp", "flip", "burst")
-            for config in ("fixed_window", "adaptive")
-        }
-        assert set(payload["frameworks"]) == expected
-        for stats in payload["frameworks"].values():
-            assert stats["reports_per_sec"] > 0
-            assert 0.0 <= stats["staleness_mean"] <= 1.0
-            assert 0.0 <= stats["recall_mean"] <= 1.0
-        assert set(payload["cells_detail"]) == expected
-        series = payload["cells_detail"]["ramp:adaptive"]["series"]
-        assert len(series) == payload["n_steps"]
-        assert all("drift_score" in row for row in series)
-
-    def test_drift_rejects_bench_only_flags(self, capsys):
-        assert main(["drift", "--connections", "2"]) == 2
-        assert "--connections" in capsys.readouterr().err
+        if env is None:
+            monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BENCH_SCALE", env)
+        assert main(["table1", *argv]) == 0
+        assert seen == [scale]
+        assert (tmp_path / "table1.txt").read_text() == "probe\n"
 
     def test_serve_parser_defaults(self):
         from repro.cli import build_serve_parser
@@ -229,35 +157,18 @@ class TestCLI:
         assert args.metrics_port is None
         assert args.log_json is None
 
-    def test_bench_artifacts_carry_meta(self, capsys, tmp_path, monkeypatch):
-        import json
 
-        from repro.bench.reporting import BENCH_META_SCHEMA
+    def test_serve_parser_takes_its_fast_lane_flags(self):
+        from repro.cli import build_serve_parser
 
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_stream.json"
-        monkeypatch.setenv("REPRO_BENCH_STREAM_ARTIFACT", str(artifact))
-        assert (
-            main(
-                ["stream", "--users", "8000", "--batch-size", "4000", "--shards", "2"]
-            )
-            == 0
+        args = build_serve_parser().parse_args([
+            "--shards", "4", "--flush-reports", "1024", "--high-water",
+            "2048", "--coalesce", "1", "--flush-interval", "0.2",
+        ])
+        assert (args.shards, args.flush_reports, args.high_water) == (
+            4, 1024, 2048,
         )
-        meta = json.loads(artifact.read_text())["meta"]
-        assert meta["schema"] == BENCH_META_SCHEMA
-        for key in ("host", "platform", "python", "numpy"):
-            assert isinstance(meta[key], str)
-        # spawned seeds make the run replayable from the JSON alone
-        assert set(meta["shard_seeds"]) == {"hec", "ptj", "pts", "pts-cp"}
-        assert all(len(seeds) == 2 for seeds in meta["shard_seeds"].values())
-        # and the telemetry snapshot captured the instrumented run
-        metrics = meta["metrics"]
-        assert any(
-            key.startswith("bench_stream_seconds") for key in metrics["histograms"]
-        )
-        assert any(
-            key.startswith("stream_ingested_total") for key in metrics["counters"]
-        )
+        assert (args.coalesce, args.flush_interval) == (1, 0.2)
 
 
 class TestObsCLI:
@@ -269,16 +180,35 @@ class TestObsCLI:
         assert snapshot["schema"] == 1
         assert set(snapshot) == {"schema", "counters", "gauges", "histograms"}
 
-    def test_dump_prom_from_bench_artifact(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_protocol.json"
-        monkeypatch.setenv("REPRO_BENCH_PROTOCOL_ARTIFACT", str(artifact))
-        assert main(["protocol", "--quick", "--users", "2000"]) == 0
-        capsys.readouterr()
-        assert main(["obs", "dump", "--format=prom", "--input", str(artifact)]) == 0
+    def test_dump_prom_from_raw_snapshot(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry(enabled=True)
+        registry.histogram("stage_seconds").observe(0.25)
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(registry.snapshot()))
+        assert main(["obs", "dump", "--format=prom", "--input", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "# TYPE bench_protocol_seconds histogram" in out
-        assert "bench_protocol_seconds_count" in out
+        assert "# TYPE stage_seconds histogram" in out
+        assert "stage_seconds_count 1" in out
+
+    def test_dump_round_trips_a_live_snapshot_through_a_file(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        from repro.obs import render_snapshot
+
+        assert main(["obs", "dump", "--format=json"]) == 0
+        text = capsys.readouterr().out
+        path = tmp_path / "snap.json"
+        path.write_text(text)
+        assert main(["obs", "dump", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["obs", "dump", "--format=prom", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == render_snapshot(json.loads(text))
 
     def test_dump_json_from_raw_snapshot(self, capsys, tmp_path):
         import json
@@ -292,24 +222,15 @@ class TestObsCLI:
         assert main(["obs", "dump", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["counters"]["c"] == 5
 
-    def test_dump_rejects_unrecognised_input(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "payload", ['{"tables": []}', "[1, 2]", "7"],
+        ids=["object", "list", "number"],
+    )
+    def test_dump_rejects_unrecognised_input(self, capsys, tmp_path, payload):
         path = tmp_path / "other.json"
-        path.write_text('{"tables": []}')
+        path.write_text(payload)
         assert main(["obs", "dump", "--input", str(path)]) == 2
-        assert "neither" in capsys.readouterr().err
-
-    def test_stream_honors_scale_env(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        artifact = tmp_path / "BENCH_stream.json"
-        monkeypatch.setenv("REPRO_BENCH_STREAM_ARTIFACT", str(artifact))
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "full")
-        # --users/--batch-size keep the run tiny; the scale must still
-        # come from the environment like every other experiment.
-        assert main(["stream", "--users", "1000", "--batch-size", "500"]) == 0
-        payload = json.loads(artifact.read_text())
-        assert payload["scale"] == "full"
+        assert "not a registry snapshot" in capsys.readouterr().err
 
 
 class TestComplexityModel:
