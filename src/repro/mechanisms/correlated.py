@@ -41,7 +41,7 @@ from ..types import INVALID_ITEM
 from .backends import get_kernel
 from .base import check_domain_size, check_epsilon
 from .grr import GeneralizedRandomResponse, grr_probabilities
-from .kernels import as_report_matrix, perturb_onehot_batch
+from .kernels import as_bit_matrix, perturb_onehot_batch
 from .validity import ValidityPerturbation
 
 
@@ -84,24 +84,18 @@ def as_correlated_columns(reports, n_items: int) -> tuple[np.ndarray, np.ndarray
 
     Accepts the columnar form (a 2-tuple of a label array and a
     ``(batch, d + 1)`` bit matrix) or any iterable of per-user
-    ``(label, bits)`` pairs.
+    ``(label, bits)`` pairs.  The bits come back as bool; any bit outside
+    {0, 1} raises :class:`AggregationError` (see
+    :func:`~repro.mechanisms.kernels.as_bit_matrix`).
     """
     if isinstance(reports, tuple) and len(reports) == 2:
-        labels = np.asarray(reports[0], dtype=np.int64).ravel()
-        bits = as_report_matrix(reports[1], n_items + 1, "correlated")
+        labels, bits = reports
     else:
         reports = list(reports)
-        if not reports:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros((0, n_items + 1), dtype=np.int64),
-            )
-        labels = np.asarray([label for label, _ in reports], dtype=np.int64)
-        bits = as_report_matrix(
-            np.asarray([np.asarray(b) for _, b in reports]),
-            n_items + 1,
-            "correlated",
-        )
+        labels = [label for label, _ in reports]
+        bits = [np.asarray(b) for _, b in reports]
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    bits = as_bit_matrix(bits, n_items + 1, "correlated")
     if labels.size != bits.shape[0]:
         raise AggregationError(
             f"labels ({labels.size}) and bits ({bits.shape[0]}) must align"

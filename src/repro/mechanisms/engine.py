@@ -111,6 +111,22 @@ def _columns(values) -> tuple[np.ndarray, ...]:
     return (np.asarray(values),)
 
 
+def _as_bits(reports):
+    """``privatize_many`` reports with each uint8 bit matrix viewed as bool.
+
+    The unary oracles build their uint8 rows from a comparison, so every
+    entry is 0 or 1.  The bool view tells the folds so: they skip the
+    binary check and the lane-sizing max pass that uint8 input costs.
+    Categorical reports and the correlated mechanism's label column
+    (int64) pass through.
+    """
+    if isinstance(reports, tuple):
+        return tuple(map(_as_bits, reports))
+    if getattr(reports, "dtype", None) == np.uint8 and reports.ndim == 2:
+        return reports.view(np.bool_)
+    return reports
+
+
 _NULL_SPAN = nullcontext()
 
 
@@ -215,7 +231,7 @@ def batch_support(
         for cut in batch_spans(n, width, block_elements):
             with _block_span(telemetry):
                 reports = oracle.privatize_many(*(col[cut] for col in cols))
-                block = oracle.aggregate_batch(reports)
+                block = oracle.aggregate_batch(_as_bits(reports))
             support = block if support is None else support + block
     else:
         spans = list(batch_spans(n, width, block_elements))
@@ -227,7 +243,7 @@ def batch_support(
                     reports = block_oracle.privatize_many(
                         *(col[cut] for col in cols)
                     )
-                    return block_oracle.aggregate_batch(reports)
+                    return block_oracle.aggregate_batch(_as_bits(reports))
 
             return run
 
@@ -284,7 +300,7 @@ def grouped_batch_support(
     if thread_count is None:
         for cut in batch_spans(values.size, width, block_elements):
             with _block_span(telemetry):
-                bits = np.asarray(oracle.privatize_many(values[cut]))
+                bits = _as_bits(np.asarray(oracle.privatize_many(values[cut])))
                 out += scatter(groups[cut], bits, n_groups)
         return out
     spans = list(batch_spans(values.size, width, block_elements))
@@ -293,7 +309,9 @@ def grouped_batch_support(
     def _block_task(cut, block_oracle):
         def run():
             with _block_span(telemetry):
-                bits = np.asarray(block_oracle.privatize_many(values[cut]))
+                bits = _as_bits(
+                    np.asarray(block_oracle.privatize_many(values[cut]))
+                )
                 return scatter(groups[cut], bits, n_groups)
 
         return run

@@ -26,6 +26,7 @@ import numpy as np
 from ..exceptions import AggregationError
 from ..obs import metrics as _obs
 from .backends import get_kernel
+from .backends.numpy_backend import byte_lane_sums
 
 
 def as_report_array(reports, name: str = "categorical") -> np.ndarray:
@@ -63,6 +64,30 @@ def as_report_matrix(reports, width: int, name: str) -> np.ndarray:
     return reports
 
 
+def as_bit_matrix(reports, width: int, name: str) -> np.ndarray:
+    """:func:`as_report_matrix`, failing closed on any entry outside {0, 1}.
+
+    Returns the bits as bool, which the folds take as proof that every
+    entry is 0 or 1.  Bool input is binary by type and passes unchecked
+    (the batch engine hands its own privatised reports over as a bool
+    view); uint8 costs one max pass, any other dtype a comparison with
+    its own truth value.  A bad bit raises
+    :class:`~repro.exceptions.AggregationError` instead of being counted.
+    """
+    bits = as_report_matrix(reports, width, name)
+    if bits.dtype == np.bool_:
+        return bits
+    if bits.dtype == np.uint8:
+        flags = bits.view(np.bool_)
+        binary = bits.max(initial=0) <= 1
+    else:
+        flags = bits.astype(np.bool_)
+        binary = np.array_equal(flags, bits)
+    if not binary:
+        raise AggregationError(f"{name} report bits must be 0 or 1")
+    return flags
+
+
 def categorical_support(reports, domain_size: int, name: str = "categorical") -> np.ndarray:
     """Support counts of categorical reports: a validated bincount.
 
@@ -80,14 +105,16 @@ def categorical_support(reports, domain_size: int, name: str = "categorical") ->
 
 
 def bit_matrix_support(reports, width: int, name: str = "bit-vector") -> np.ndarray:
-    """Support counts of bit-vector reports: the validated column sum."""
-    bits = as_report_matrix(reports, width, name)
+    """Support counts of bit-vector reports: the validated column sum,
+    folded eight bits per add by
+    :func:`~repro.mechanisms.backends.numpy_backend.byte_lane_sums`."""
+    bits = as_bit_matrix(reports, width, name)
     registry = _obs.get_registry()
     if registry.enabled:
         registry.counter(
             "kernel_support_reports_total", kernel="bit_matrix"
         ).inc(int(bits.shape[0]))
-    return bits.sum(axis=0, dtype=np.int64)
+    return byte_lane_sums(bits, (0, bits.shape[0]))[0]
 
 
 def perturb_onehot_batch(

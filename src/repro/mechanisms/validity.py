@@ -31,9 +31,9 @@ import numpy as np
 from ..exceptions import AggregationError, DomainError
 from ..rng import RngLike
 from ..types import INVALID_ITEM
-from .backends.numpy_backend import unary_cells
+from .backends.numpy_backend import byte_lane_sums, unary_cells
 from .base import FrequencyOracle
-from .kernels import as_report_matrix, perturb_onehot_batch
+from .kernels import as_bit_matrix, perturb_onehot_batch
 
 
 def flag_filtered_support(bits: np.ndarray, domain_size: int) -> np.ndarray:
@@ -42,13 +42,18 @@ def flag_filtered_support(bits: np.ndarray, domain_size: int) -> np.ndarray:
     Positions ``0..d-1`` sum the item bits of reports whose perturbed flag
     is clear; position ``d`` counts the reports whose flag is set.  The
     one vectorised statement of the paper's Section IV-A server law,
-    folded by :meth:`ValidityPerturbation.aggregate_batch`.
+    folded by :meth:`ValidityPerturbation.aggregate_batch`: the clear-flag
+    rows are gathered and summed eight bits per add by
+    :func:`~repro.mechanisms.backends.numpy_backend.byte_lane_sums`.
+    Any bit outside {0, 1} raises :class:`AggregationError`.
     """
-    bits = as_report_matrix(bits, domain_size + 1, "validity")
-    flag = bits[:, domain_size].astype(bool)
-    support = np.zeros(domain_size + 1, dtype=np.int64)
-    support[:domain_size] = bits[~flag, :domain_size].sum(axis=0, dtype=np.int64)
-    support[domain_size] = int(flag.sum())
+    bits = as_bit_matrix(bits, domain_size + 1, "validity")
+    keep = np.flatnonzero(~bits[:, domain_size])
+    support = np.empty(domain_size + 1, dtype=np.int64)
+    support[:domain_size] = byte_lane_sums(
+        bits[:, :domain_size], (0, keep.size), keep
+    )[0]
+    support[domain_size] = bits.shape[0] - keep.size
     return support
 
 

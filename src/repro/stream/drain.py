@@ -273,9 +273,12 @@ class AggregatorDrain(BatchDrain):
         return future
 
     def _wait(self, futures: list[Future]) -> int:
-        # The aggregator queued the same futures; its drain waits for
-        # them and records the shard-drain telemetry.
-        return self._aggregator.drain()
+        # The aggregator's drain records the shard-drain telemetry.  The
+        # count comes from the adapter's own futures: a caller may have
+        # drained the aggregator directly (merged(), partials()), which
+        # consumes its copies of them but credits nothing here.
+        self._aggregator.drain()
+        return sum_batch_results(futures)
 
     def snapshot(self):
         # Drain through the adapter first (not just inside merged()) so

@@ -1,7 +1,7 @@
 """Distribution-drift detection against the closed-form noise floor.
 
 A private estimate moves between queries for two reasons: LDP sampling
-noise, whose magnitude the Section-V theorems bound exactly
+noise, whose magnitude the Section-V theorems bound
 (``OnlineFrameworkSession.estimate_variance``), and genuine change in
 the underlying stream.  :class:`DriftDetector` separates the two with a
 per-cell z-score: the residual between the current estimate and a
@@ -9,6 +9,13 @@ retained baseline, normalised by the combined standard deviation of
 both snapshots.  A cell whose residual the noise bound cannot explain
 (``|z| > threshold``) is flagged; the detector then re-baselines so the
 next comparison starts from the post-shift regime.
+
+The bound is exact for PTJ and HEC.  For PTS and PTS-CP it is
+conservative: observed variance over the closed form is 0.29–0.44 (PTS)
+and 0.55–0.89 (PTS-CP), because the paper's forms drop the covariance
+between pair support, class size and item total.  PTS drift z-scores
+therefore read 1.5–1.9× small until exact variance forms replace the
+paper's there.
 
 The baseline and current snapshots share ingested history (minus decay),
 so treating their variances as additive is conservative in the common

@@ -7,6 +7,8 @@ backend-matrix job; the numpy-only environment must pass the rest of the
 file unchanged (that IS the fallback acceptance criterion).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ from repro.mechanisms.backends import (
     use_backend,
 )
 from repro.mechanisms.backends import numba_backend, numpy_backend
+from repro.mechanisms.kernels import bit_matrix_support
+from repro.mechanisms.validity import flag_filtered_support
 from repro.obs import metrics as obs_metrics
 from repro.stream import make_session
 
@@ -217,6 +221,144 @@ class TestNumpyKernels:
             np.asarray([0, 1, 2]), np.zeros((3, 4), dtype=np.int64), 3
         )
         np.testing.assert_array_equal(out, np.zeros((3, 4), dtype=np.int64))
+
+
+#: Row counts on both sides of the byte-lane limit (255 binary rows per
+#: word partial, so 510 is two full partials) and one serve-sized batch,
+#: widths on both sides of a whole 8-byte word, the dtypes the kernel
+#: sums, and the layouts the folds are handed.
+LANE_ROWS = (0, 1, 254, 255, 256, 509, 510, 511, 8192)
+LANE_WIDTHS = (1, 7, 8, 9, 256, 257, 1280)
+LANE_DTYPES = (np.bool_, np.uint8, np.int32, np.int64)
+LANE_LAYOUTS = ("contiguous", "cp-fold", "strided")
+
+
+def _lane_cases(rows):
+    """Every width, dtype and layout; the 8192-row batch leaves out the
+    1280-wide rows, whose lane counts the 510/511-row cases already
+    cross, to keep the suite's memory and time small."""
+    widths = LANE_WIDTHS if rows < 8192 else LANE_WIDTHS[:-1]
+    return itertools.product(widths, LANE_DTYPES, LANE_LAYOUTS)
+
+
+def _lane_inputs(rows, width, dtype, layout, binary=True):
+    """A ``(rows', width)`` matrix in one of :data:`SCATTER_CASES`'
+    layouts (the cp-fold layout keeps the rows whose spare column matches
+    the first row's), or starting one byte into its buffer, so that its
+    uint64 word view is misaligned.  Column 0 holds the matrix's largest
+    entry in every row, so its lane fills as fast as a lane can.
+    Non-binary uint8 holds values up to 255; non-binary int32/int64 go
+    negative."""
+    rng = np.random.default_rng([rows, width, LANE_DTYPES.index(dtype)])
+    shape = (rows, width + 1)
+    if binary or dtype is np.bool_:
+        full = rng.integers(0, 2, size=shape, dtype=np.uint8).astype(dtype)
+    elif dtype is np.uint8:
+        full = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        full = rng.integers(-1000, 1000, size=shape, dtype=dtype)
+    if rows:
+        full[:, 0] = full.max()  # every row's largest entry: the fullest lane
+    if layout == "cp-fold" and rows:
+        return full[full[:, width] == full[0, width], :width]
+    if layout in ("cp-fold", "strided"):
+        return full[:, :width]
+    if layout == "unaligned":
+        buffer = np.zeros(rows * width * full.itemsize + 1, dtype=np.uint8)
+        out = buffer[1:].view(dtype).reshape(rows, width)
+        out[...] = full[:, :width]
+        return out
+    return np.ascontiguousarray(full[:, :width])
+
+
+class TestByteLaneFold:
+    """The byte-lane fold against int64 references: every fold that sums
+    unary reports eight bits per add — the registry kernel, the OUE/SUE
+    column sum and the validity flag filter — at the lane limit, at
+    widths that do and do not fill whole words, for every dtype and
+    layout, and beyond a 16-bit group key."""
+
+    @pytest.mark.parametrize("rows", LANE_ROWS)
+    def test_grouped_scatter_matches_add_at(self, rows):
+        """One group puts a run of exactly ``rows`` rows on the lane
+        limit; five skewed groups (one empty) put runs of other lengths
+        after unaligned run starts."""
+        rng = np.random.default_rng(rows)
+        for width, dtype, layout in _lane_cases(rows):
+            bits = _lane_inputs(rows, width, dtype, layout, binary=False)
+            skewed = rng.choice(
+                5, size=bits.shape[0], p=[0.8, 0.1, 0.05, 0.05, 0.0]
+            )
+            for groups, n_groups in ((np.zeros_like(skewed), 1), (skewed, 5)):
+                case = (rows, width, dtype.__name__, layout, n_groups)
+                out = numpy_backend.grouped_scatter(groups, bits, n_groups)
+                assert out.dtype == np.int64, case
+                np.testing.assert_array_equal(
+                    out, add_at_scatter(groups, bits, n_groups), err_msg=str(case)
+                )
+
+    @pytest.mark.parametrize("rows", LANE_ROWS)
+    def test_bit_matrix_support_matches_int64_sum(self, rows):
+        for width, dtype, layout in _lane_cases(rows):
+            bits = _lane_inputs(rows, width, dtype, layout)
+            case = (rows, width, dtype.__name__, layout)
+            out = bit_matrix_support(bits, width)
+            assert out.dtype == np.int64, case
+            np.testing.assert_array_equal(
+                out, bits.astype(np.int64).sum(axis=0), err_msg=str(case)
+            )
+
+    @pytest.mark.parametrize("rows", LANE_ROWS)
+    def test_flag_filtered_support_matches_int64_sum(self, rows):
+        for width, dtype, layout in _lane_cases(rows):
+            if width == 1:
+                continue  # no item column besides the flag
+            bits = _lane_inputs(rows, width, dtype, layout)
+            case = (rows, width, dtype.__name__, layout)
+            d = width - 1
+            wide = bits.astype(np.int64)
+            clear = wide[:, d] == 0
+            expected = np.append(wide[clear, :d].sum(axis=0), (~clear).sum())
+            out = flag_filtered_support(bits, d)
+            assert out.dtype == np.int64, case
+            np.testing.assert_array_equal(out, expected, err_msg=str(case))
+
+    @pytest.mark.parametrize("width", (8, 9, 256))
+    def test_folds_of_a_misaligned_buffer(self, width):
+        """Rows that start one byte into their buffer are read as
+        misaligned words, with the same sums."""
+        for dtype in (np.bool_, np.uint8):
+            bits = _lane_inputs(511, width, dtype, "unaligned")
+            wide = bits.astype(np.int64)
+            groups = np.arange(511) % 3
+            np.testing.assert_array_equal(
+                numpy_backend.grouped_scatter(groups, bits, 3),
+                add_at_scatter(groups, bits, 3),
+            )
+            np.testing.assert_array_equal(
+                bit_matrix_support(bits, width), wide.sum(axis=0)
+            )
+            clear = wide[:, -1] == 0
+            np.testing.assert_array_equal(
+                flag_filtered_support(bits, width - 1),
+                np.append(wide[clear, :-1].sum(axis=0), (~clear).sum()),
+            )
+
+    @pytest.mark.parametrize("dtype", LANE_DTYPES)
+    def test_grouped_scatter_beyond_a_16_bit_group_key(self, dtype):
+        """Runs longer than the lane limit on group ids above 2**16 (the
+        int64 sort key), with most groups empty."""
+        rng = np.random.default_rng(8)
+        n_groups = (1 << 16) + 7
+        ids = np.asarray([0, 3, 1 << 16, n_groups - 1])
+        groups = ids[rng.integers(0, ids.size, size=8192)]
+        for width in (9, 16):
+            bits = _lane_inputs(8192, width, dtype, "strided", binary=False)
+            np.testing.assert_array_equal(
+                numpy_backend.grouped_scatter(groups, bits, n_groups),
+                add_at_scatter(groups, bits, n_groups),
+                err_msg=f"{dtype.__name__} width={width}",
+            )
 
 
 def _assert_out_of_range_groups_rejected(bad):

@@ -83,6 +83,16 @@ class TestAggregation:
         with pytest.raises(AggregationError):
             mech.aggregate([(7, np.zeros(5, dtype=np.uint8))])
 
+    def test_aggregate_rejects_non_binary_bits(self, mech):
+        """A bit of 9 would count as nine supports; the fold fails
+        instead, on both report forms."""
+        bits = np.zeros((2, 5), dtype=np.uint8)
+        bits[1, 2] = 9
+        with pytest.raises(AggregationError, match="must be 0 or 1"):
+            mech.aggregate_batch((np.asarray([0, 1]), bits))
+        with pytest.raises(AggregationError, match="must be 0 or 1"):
+            mech.aggregate([(0, bits[0]), (1, bits[1])])
+
     def test_supports_merge(self, mech, pair_counts, rng):
         a = mech.simulate_support(pair_counts, rng=rng)
         b = mech.simulate_support(pair_counts, rng=rng)

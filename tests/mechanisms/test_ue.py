@@ -90,6 +90,30 @@ class TestServerSide:
         with pytest.raises(AggregationError):
             mech.aggregate([np.zeros(4, dtype=np.uint8)])
 
+    @pytest.mark.parametrize(
+        "reports",
+        [
+            [[2, 0, 255]],
+            np.asarray([[1, 0, 1], [2, 0, 255]], dtype=np.uint8),
+            np.asarray([[1, 0, 1], [0, -5, 0]], dtype=np.int64),
+            np.asarray([[1, 0, 1], [0, 1, 7]], dtype=np.int32),
+        ],
+        ids=["list", "uint8", "int64-negative", "int32"],
+    )
+    def test_aggregate_rejects_non_binary_bits(self, reports):
+        """A bit outside {0, 1} fails the fold instead of being counted
+        as that many supports (or subtracting them)."""
+        mech = OptimizedUnaryEncoding(1.0, 3)
+        with pytest.raises(AggregationError, match="must be 0 or 1"):
+            mech.aggregate_batch(reports)
+
+    def test_aggregate_accepts_binary_bits_of_any_integer_dtype(self):
+        rows = [[1, 0, 1], [0, 0, 1]]
+        mech = OptimizedUnaryEncoding(1.0, 3)
+        for dtype in (np.bool_, np.uint8, np.int32, np.int64):
+            support = mech.aggregate_batch(np.asarray(rows, dtype=dtype))
+            assert support.tolist() == [1, 0, 2], dtype
+
     def test_estimate_inverts_expected_support(self):
         mech = OptimizedUnaryEncoding(2.0, 4)
         true = np.asarray([500, 300, 150, 50])

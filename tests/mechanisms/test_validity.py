@@ -52,6 +52,21 @@ class TestAggregation:
         with pytest.raises(AggregationError):
             mech.aggregate([np.zeros(3, dtype=np.uint8)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[7, 0, 0, 0], [1, 0, 0, 2], [0, -1, 0, 0]],
+        ids=["item-bit-7", "flag-2", "negative"],
+    )
+    def test_aggregate_rejects_non_binary_bits(self, bad):
+        """An item bit of 7 would count seven times and a flag of 2 would
+        read as set; both fail the fold instead."""
+        mech = ValidityPerturbation(1.0, 3)
+        clean = np.asarray([1, 0, 1, 0], dtype=np.uint8)
+        with pytest.raises(AggregationError, match="must be 0 or 1"):
+            mech.aggregate_batch(np.asarray([clean, bad], dtype=np.int64))
+        with pytest.raises(AggregationError, match="must be 0 or 1"):
+            mech.aggregate([clean, np.asarray(bad)])
+
     def test_estimate_unbiased_with_invalid_users(self, rng):
         """The calibration removes the invalid users' noise in expectation
         — the mechanism's whole purpose."""

@@ -70,6 +70,22 @@ class TestAggregatorDrain:
             assert drain.drain() == 0
             assert (drain.n_drained, drain.n_rejected) == (3, 2)
 
+    def test_drain_credits_batches_the_aggregator_drained_directly(self):
+        """Draining the wrapped aggregator directly (here via merged())
+        still leaves the adapter's next drain to credit those reports."""
+        shards = [
+            make_session("pts", epsilon=1.0, n_classes=3, n_items=32, rng=child)
+            for child in spawn(ensure_rng(12), 2)
+        ]
+        with AggregatorDrain(ShardedAggregator(shards)) as drain:
+            drain.submit([0, 1, 2], [3, 4, 5])
+            assert drain.aggregator.merged().n_ingested == 3
+            assert drain.drain() == 3
+            assert drain.n_submitted == drain.n_drained == 3
+            assert drain.snapshot().n_ingested == 3
+            assert drain.n_rejected == 0
+            assert drain.drain() == 0
+
     def test_successful_drain_rejects_nothing(self):
         with AggregatorDrain(ShardedAggregator(_shards(3, 2))) as drain:
             for labels, items in _batches(n=2000):
