@@ -10,7 +10,6 @@ Examples::
     repro-bench obs dump --format=prom   # telemetry snapshot
     repro-bench obs trace --output trace.json   # Chrome trace export
     python -m repro fig6           # equivalent module form
-    python -m repro top 9009       # live ops console for a collector
     repro-serve --port 9009        # standalone collector
     repro-serve --metrics-port 9100 --log-json serve.jsonl
     python -m repro.serve          # equivalent module form
@@ -144,10 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "obs":
         return obs_main(argv[1:])
-    if argv and argv[0] == "top":
-        from .obs.console import main as top_main
-
-        return top_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list or args.experiment is None:
         print("Available experiments:")
@@ -202,15 +197,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="background buffer sweep period in seconds",
     )
     parser.add_argument(
-        "--coalesce",
-        type=int,
-        default=64,
-        help=(
-            "most REPORTS frames decoded per event-loop wakeup "
-            "(1 disables coalescing)"
-        ),
-    )
-    parser.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -248,7 +234,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
             default_shards=args.shards,
             flush_reports=args.flush_reports,
             high_water=args.high_water,
-            coalesce_frames=args.coalesce,
         )
         await collector.start()
         print(f"repro-serve: collecting reports on {collector.host}:{collector.port}")

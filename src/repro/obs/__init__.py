@@ -18,8 +18,7 @@ Two further planes build on the same switch:
   (``repro-bench obs trace``, ``/traces``).
 * :mod:`~repro.obs.health` — verdicts: :func:`evaluate_health` turns
   session ingest stats plus a registry snapshot into machine-readable
-  pass/warn/fail with reasons (``/healthz``, the HEALTH wire query, and
-  the ``repro-top`` console in :mod:`~repro.obs.console`).
+  pass/warn/fail with reasons (``/healthz`` and the HEALTH wire query).
 """
 
 from .log import JsonLogger, configure_logging, get_logger, log_event

@@ -10,13 +10,13 @@ on asyncio over the streaming and engine layers:
   ``(class_label, report)`` REPORTS frames (encoded through a reusable
   interleave arena, decoded as zero-copy views, coalesced off the socket
   by :class:`FrameReader`), and a JSON control channel.
-* :mod:`~repro.serve.ringbuf` — the zero-allocation ingest buffers:
+* :mod:`~repro.serve.ringbuf` — the zero-allocation ingest buffer:
   :class:`ReportRing` columnar ring buffers written in place on arrival
-  and the :class:`FlushArena` counting-sort flush scratch.
+  and flushed in arrival order.
 * :mod:`~repro.serve.registry` — :class:`SessionRegistry` hosting many
   concurrent cohorts (:class:`HostedSession`): ring-buffered ingest,
-  high/low-water backpressure, epoch-cached queries, and mid-stream
-  drains over :mod:`repro.stream.drain` adapters.
+  high/low-water backpressure, and queries that drain mid-stream over
+  :mod:`repro.stream.drain` adapters.
 * :mod:`~repro.serve.collector` — :class:`ReportCollector`, the
   ``asyncio.start_server`` loop speaking the protocol.
 * :mod:`~repro.serve.client` — :class:`ReportClient` and the
@@ -49,10 +49,9 @@ from .client import ReportClient, fetch_health, fetch_stats, generate_load
 from .collector import ReportCollector
 from .protocol import FrameReader, ReportsEncoder, ServeError, WireError
 from .registry import HostedSession, SessionRegistry, canonical_config
-from .ringbuf import FlushArena, ReportRing
+from .ringbuf import ReportRing
 
 __all__ = [
-    "FlushArena",
     "FrameReader",
     "HostedSession",
     "ReportClient",

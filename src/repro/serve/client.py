@@ -316,8 +316,8 @@ async def fetch_health(host: str, port: int) -> dict:
     """One-shot health probe of a running collector.
 
     Sends a bare HEALTH frame (answered pre-HELLO, like STATS) and
-    returns the verdict payload — what a load balancer or ``repro-top``
-    polls without joining any session.
+    returns the verdict payload — what a load balancer or monitor polls
+    without joining any session.
     """
     reader, writer = await asyncio.open_connection(host, port)
     try:

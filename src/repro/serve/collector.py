@@ -56,9 +56,6 @@ class ReportCollector:
         :meth:`start`.
     flush_interval:
         Period of the background buffer sweep in seconds.
-    coalesce_frames:
-        Most consecutive REPORTS frames decoded as one batch per
-        event-loop wakeup (``1`` disables coalescing).
     default_shards / flush_reports / high_water / record:
         Registry defaults when ``registry`` is omitted (see
         :class:`~repro.serve.registry.SessionRegistry`).
@@ -76,7 +73,6 @@ class ReportCollector:
         host: str = "127.0.0.1",
         port: int = 0,
         flush_interval: float = 0.05,
-        coalesce_frames: int = 64,
         default_shards: int = 1,
         flush_reports: int = 65_536,
         high_water: int = 262_144,
@@ -88,10 +84,6 @@ class ReportCollector:
         if flush_interval <= 0:
             raise ServeError(
                 f"flush_interval must be positive, got {flush_interval!r}"
-            )
-        if coalesce_frames < 1:
-            raise ServeError(
-                f"coalesce_frames must be >= 1, got {coalesce_frames!r}"
             )
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             enabled=True
@@ -112,7 +104,6 @@ class ReportCollector:
         self._bind_host = host
         self._bind_port = port
         self.flush_interval = float(flush_interval)
-        self.coalesce_frames = int(coalesce_frames)
         self._server: Optional[asyncio.AbstractServer] = None
         self._flusher: Optional[asyncio.Task] = None
         self._next_connection_id = 0
@@ -234,7 +225,7 @@ class ReportCollector:
         return frame_type, body
 
     async def _serve_connection(self, reader, writer, connection_id) -> None:
-        frames = protocol.FrameReader(reader, coalesce=self.coalesce_frames)
+        frames = protocol.FrameReader(reader)
         while True:
             frame_type, body = await self._read_frame(frames)
             # Monitors may poll a running collector without joining a
@@ -318,8 +309,8 @@ class ReportCollector:
                 spec = protocol.decode_json(body)
                 query_ctx = ctx
                 if isinstance(spec, dict) and "trace" in spec:
-                    # Popped unconditionally: the trace annotation must
-                    # never reach the per-epoch query cache key.
+                    # Popped unconditionally: the trace annotation is
+                    # transport metadata, not part of the query spec.
                     announced = _trace.TraceContext.from_wire(spec.pop("trace"))
                     if announced is not None and _trace.get_tracer().enabled:
                         query_ctx = announced

@@ -11,14 +11,9 @@ asyncio front-end needs:
 * incoming reports write *in place* into a preallocated columnar ring
   buffer (:class:`~repro.serve.ringbuf.ReportRing`) — the arrival path
   allocates nothing; once ``flush_reports`` accumulate (or the periodic
-  flusher / a query / a BYE fires) a counting sort in a resident
-  :class:`~repro.serve.ringbuf.FlushArena` drains the ring into one
-  class-sorted batch, submitted through a :mod:`repro.stream.drain`
+  flusher / a query / a BYE fires) the ring's window is copied out once,
+  in arrival order, and submitted through a :mod:`repro.stream.drain`
   adapter in engine-bounded chunks;
-* query results are memoized per *drain epoch*: a repeated
-  estimate/topk/class_sizes query answers from cache until a drain (or a
-  mining-round advance) lands, so mid-stream polling under trickle
-  ingest costs nothing between drains;
 * when buffered + in-flight reports exceed ``high_water`` the session
   reports itself unwritable and connections stop reading — TCP pushes the
   backpressure to clients — until ingestion drains below ``low_water``;
@@ -34,7 +29,6 @@ it — with the exact same canonical config, else the join is refused.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from functools import partial
 from typing import Optional
@@ -57,16 +51,7 @@ from ..stream import (
     make_session,
 )
 from .protocol import ServeError, decode_reports_view
-from .ringbuf import FlushArena, ReportRing
-
-#: Queries whose results are pure functions of the drained state and so
-#: safe to memoize per drain epoch (``stats`` reports live lag and
-#: ``advance_round`` mutates, so neither caches).
-CACHEABLE_QUERIES = frozenset(("estimate", "topk", "class_sizes"))
-
-#: Cached query results kept per session (stale entries are pruned on
-#: insert, so this only bounds distinct concurrently-warm specs).
-MAX_CACHED_QUERIES = 32
+from .ringbuf import ReportRing
 
 #: Session kinds hosted by the collector.
 KINDS = ("framework", "topk")
@@ -259,17 +244,10 @@ class HostedSession:
         self.low_water = max(1, self.high_water // 2)
         self._drain = _build_drain(config, record)
         self._ring = ReportRing(capacity=max(2 * self.flush_reports, 8192))
-        self._arena = FlushArena()
         self._drift = DriftDetector()
         self._buffered = 0
         self._inflight = 0
         self.n_accepted = 0
-        # The drain epoch: bumped whenever drained state can change —
-        # reports submitted toward the shards (n_submitted), a
-        # mining-round advance, or a decay pass (the adapter's generation
-        # counter).  The query cache memoizes per (epoch, spec).
-        self._mutations = 0
-        self._query_cache: dict[str, tuple[tuple[int, int, int], object]] = {}
         self._lock = asyncio.Lock()
         self._resume = asyncio.Event()
         self._resume.set()
@@ -318,12 +296,6 @@ class HostedSession:
             self._m_decode = metrics.histogram(
                 "serve_decode_seconds", session=self.session_id
             )
-            self._m_cache_hits = metrics.counter(
-                "serve_query_cache_hits_total", session=self.session_id
-            )
-            self._m_cache_misses = metrics.counter(
-                "serve_query_cache_misses_total", session=self.session_id
-            )
             self._m_query = metrics.histogram(
                 "serve_query_seconds", session=self.session_id
             )
@@ -359,23 +331,6 @@ class HostedSession:
     @property
     def drain_log(self):
         return self._drain.drain_log
-
-    def buffer(self, labels: np.ndarray, items: np.ndarray) -> int:
-        """Accept one decoded wire batch into the ingest ring."""
-        n = int(labels.size)
-        if n == 0:
-            return 0
-        if labels.min() < 0 or labels.max() >= self.n_classes:
-            raise DomainError(f"labels outside [0, {self.n_classes})")
-        if items.min() < 0 or items.max() >= self.n_items:
-            raise DomainError(f"items outside [0, {self.n_items})")
-        self._ring.append(labels, items)
-        self._buffered += n
-        self.n_accepted += n
-        if self._metrics is not None:
-            self._m_pending.set(self.pending)
-            self._m_occupancy.set(len(self._ring))
-        return n
 
     def buffer_frames(
         self, bodies: list, trace: Optional[_trace.TraceContext] = None
@@ -424,22 +379,20 @@ class HostedSession:
     def flush(self) -> int:
         """Drain the ingest ring into the aggregation plane.
 
-        A counting sort in the resident arena turns the ring's arrival
-        window into one class-sorted ``(labels, items)`` batch in O(n)
-        (stable within each class), cut into ``flush_reports``-sized
-        sub-batches with the engine's
+        The ring's window is copied out once, in arrival order, into
+        fresh ``int64`` columns — fresh because the drain adapter
+        consumes them on worker threads and its log may keep them — and
+        cut into ``flush_reports``-sized sub-batches with the engine's
         :func:`~repro.mechanisms.engine.batch_spans` before submission.
         Loop-thread only; callers serialise against :meth:`query` via the
         session lock (or skip when it is held).
         """
         if self._buffered == 0:
             return 0
-        if self._metrics is not None:
-            with Span(self._m_sort):
-                labels, items = self._arena.class_sort(self._ring, self.n_classes)
-        else:
-            labels, items = self._arena.class_sort(self._ring, self.n_classes)
-        flushed = int(labels.size)
+        with Span(self._m_sort if self._metrics is not None else None):
+            labels = np.empty(len(self._ring), dtype=np.int64)
+            items = np.empty(len(self._ring), dtype=np.int64)
+            flushed = self._ring.consume(labels, items)
         self._buffered -= flushed
         if self._metrics is not None:
             self._m_flush.observe(flushed)
@@ -532,92 +485,23 @@ class HostedSession:
     # ------------------------------------------------------------------
     # queries and settling
     # ------------------------------------------------------------------
-    def _epoch(self) -> tuple[int, int, int]:
-        """The drain epoch a query result is valid for.
-
-        Keyed on ``n_submitted``, not ``n_drained``: submissions are
-        credited synchronously on the loop thread inside :meth:`flush`,
-        while the adapter only reconciles ``n_drained`` on its next
-        ``drain()`` call.  A periodic-sweep flush whose futures complete
-        between queries moves ``n_submitted`` (and so the epoch)
-        immediately, where ``n_drained`` would still name the old state
-        and let a stale cached result through.  A result stored under the
-        lock right after a drain covers exactly the submissions counted
-        so far, so epoch equality certifies the drained state unchanged.
-
-        The adapter's ``generation`` counter joins the key because decay
-        mutates the drained state *without* a submit: an ageing pass
-        (hook-driven or out-of-band) between queries would otherwise
-        leave ``n_submitted`` unchanged and serve the pre-decay estimate
-        from cache.
-        """
-        return (
-            int(self._drain.n_submitted),
-            self._mutations,
-            int(self._drain.generation),
-        )
-
-    def _cached_query(self, key: str):
-        entry = self._query_cache.get(key)
-        if entry is not None and entry[0] == self._epoch():
-            return entry
-        return None
-
     async def query(self, spec: dict):
         """Answer one control-channel query against a drained snapshot.
 
-        Estimate/topk/class_sizes results are memoized per drain epoch:
-        with nothing buffered and every submission drained, a repeated
-        query answers straight from cache — no flush, no drain, no
-        estimator re-run — until the next drain (or mining-round advance)
-        invalidates it.  "Drained" is the adapter's ``n_drained`` plus
-        its ``n_rejected`` (the reports of batches whose ingest raised),
-        which the previous query's drain settled before it returned; the
-        loop-side ``_inflight`` count is not used, because its decrement
-        arrives through a done callback that may run after that query
-        has already answered.
+        Takes the session lock, flushes whatever is buffered, then drains
+        every submission and runs the query on a worker thread, so the
+        answer reflects every report accepted before the query.
         """
-        query = spec.get("query")
-        cacheable = query in CACHEABLE_QUERIES
-        key = json.dumps(spec, sort_keys=True) if cacheable else None
-        drain = self._drain
-        if (
-            cacheable
-            and self._buffered == 0
-            and drain.n_drained + drain.n_rejected == drain.n_submitted
-            and not self._lock.locked()
-        ):
-            entry = self._cached_query(key)
-            if entry is not None:
-                if self._metrics is not None:
-                    self._m_cache_hits.inc()
-                return entry[1]
         async with self._lock:
             self.flush()
             loop = asyncio.get_running_loop()
             try:
                 with Span(self._m_query if self._metrics is not None else None):
-                    result = await loop.run_in_executor(
+                    return await loop.run_in_executor(
                         None, self._query_sync, spec
                     )
             finally:
                 self._resume.set()  # re-check writability after the drain
-            if cacheable:
-                if self._metrics is not None:
-                    self._m_cache_misses.inc()
-                # Stamp with the post-drain epoch; a concurrent flush
-                # cannot have landed (the lock is held), so the result is
-                # exactly the drained state this epoch names.
-                epoch = self._epoch()
-                stale = [
-                    k for k, v in self._query_cache.items() if v[0] != epoch
-                ]
-                for k in stale:
-                    del self._query_cache[k]
-                if len(self._query_cache) >= MAX_CACHED_QUERIES:
-                    self._query_cache.pop(next(iter(self._query_cache)))
-                self._query_cache[key] = (epoch, result)
-            return result
 
     async def settle(self) -> None:
         """Flush and drain everything buffered (BYE / shutdown path)."""
@@ -658,11 +542,6 @@ class HostedSession:
         else:
             if query == "advance_round":
                 snapshot.advance_round()
-                # The miner mutated outside the drain path: invalidate
-                # cached results by advancing the epoch.  Plain int
-                # increment — atomic under the GIL, and the cache-hit
-                # path only ever runs on the event-loop thread.
-                self._mutations += 1
                 return self._round_stats(snapshot)
         raise ServeError(
             f"unknown query {query!r} for a {self.kind!r} session"
@@ -675,8 +554,8 @@ class HostedSession:
         baseline is normalised by the closed-form variance bound
         (``estimate_variance``); cells the noise cannot explain flag
         drift, the detector re-baselines, and the score lands on the
-        ``serve_drift_score`` gauge.  Stateful but intentionally not
-        cached: every check advances the baseline's age.
+        ``serve_drift_score`` gauge.  Stateful: every check advances the
+        baseline's age.
         """
         threshold = spec.get("threshold")
         try:
@@ -747,6 +626,9 @@ class HostedSession:
         buffered plus in-flight reports, both loop-side counters, so a
         sweep-flushed session reads 0 as soon as its drain futures land
         (``n_drained`` lags until the next query reconciles the adapter).
+        ``n_rejected`` counts the reports of shard batches whose ingest
+        raised: once a query has drained, ``n_drained + n_rejected ==
+        n_submitted``.
         """
         return {
             "session": self.session_id,
@@ -757,6 +639,7 @@ class HostedSession:
             "pending": int(self.pending),
             "n_submitted": int(self._drain.n_submitted),
             "n_drained": int(self._drain.n_drained),
+            "n_rejected": int(self._drain.n_rejected),
             "high_water": int(self.high_water),
             "stalled": self.stalled,
             "stall_seconds": float(self.stall_seconds),

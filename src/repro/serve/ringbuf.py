@@ -1,29 +1,16 @@
-"""Zero-allocation ingest buffers for the serve plane's hot path.
+"""Zero-allocation ingest buffer for the serve plane's hot path.
 
 The collector's REPORTS fast lane runs arrival → flush with no per-frame
 allocation: decoded wire columns (zero-copy ``int32`` views over the
-socket buffer) are written in place into a :class:`ReportRing`, and a
-flush drains the whole buffered prefix through a counting sort in a
-resident :class:`FlushArena`:
+socket buffer) are written in place into a :class:`ReportRing` — one
+growable ring of aligned ``(label, item)`` ``int32`` columns.  Appends
+are at most two slice writes (the second across the wrap point);
+capacity doubles only when a burst outruns the flush cadence, and the
+linearised copy that regrowth implies is the only allocation the
+arrival path can ever make.
 
-* :class:`ReportRing` — one growable ring of aligned ``(label, item)``
-  ``int32`` columns.  Appends are at most two slice writes (the second
-  across the wrap point); capacity doubles only when a burst outruns the
-  flush cadence, and the linearised copy that regrowth implies is the
-  only allocation the arrival path can ever make.
-* :class:`FlushArena` — resident scratch reused across flushes.  Labels
-  are bounded by ``n_classes``, so one ``bincount`` + ``cumsum`` yields
-  the class histogram and bucket bounds in O(n); the stable bucket
-  placement itself runs through NumPy's stable integer sort, which is an
-  LSD radix sort — the C implementation of exactly this counting-sort
-  pass — so the class-sorted batch costs O(n) with no comparison sort
-  and no intermediate concatenation.  Output labels are reconstructed
-  from the histogram (one slice fill per class), never materialised per
-  chunk with ``np.full``.
-
-The sorted output batch is the one allocation per flush: drain adapters
-consume it asynchronously on worker threads (and the drain log may
-retain it forever), so it must not live in reused scratch.
+A flush copies the ring's window out once, in arrival order, through
+:meth:`ReportRing.consume`.
 """
 
 from __future__ import annotations
@@ -116,83 +103,3 @@ class ReportRing:
         self._size = 0
         return n
 
-
-def _key_dtype(n_classes: int) -> np.dtype:
-    """The narrowest unsigned dtype holding every class label.
-
-    NumPy's stable integer sort is an LSD radix sort with one pass per
-    key byte, so sorting ``uint8`` keys (any domain up to 256 classes)
-    costs a single counting-sort pass over the batch — 4-5x faster than
-    radixing the full-width label column for the same stable order.
-    """
-    if n_classes <= 1 << 8:
-        return np.dtype(np.uint8)
-    if n_classes <= 1 << 16:
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
-
-
-class FlushArena:
-    """Resident scratch for counting-sort flushes, reused across calls.
-
-    :meth:`class_sort` drains a :class:`ReportRing` into a freshly
-    allocated class-sorted ``(labels, items)`` ``int64`` batch — fresh
-    because drain adapters consume it asynchronously (and may log it),
-    while the staging columns and narrowed sort keys all live here and
-    are reused flush after flush.
-    """
-
-    __slots__ = ("_stage_labels", "_stage_items", "_keys")
-
-    def __init__(self) -> None:
-        self._stage_labels = np.empty(0, dtype=np.int32)
-        self._stage_items = np.empty(0, dtype=np.int32)
-        self._keys = np.empty(0, dtype=np.uint8)
-
-    def _staging(
-        self, n: int, key_dtype: np.dtype
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._stage_labels.shape[0] < n:
-            cap = _pow2_at_least(n)
-            self._stage_labels = np.empty(cap, dtype=np.int32)
-            self._stage_items = np.empty(cap, dtype=np.int32)
-        if self._keys.dtype != key_dtype or self._keys.shape[0] < n:
-            self._keys = np.empty(self._stage_labels.shape[0], dtype=key_dtype)
-        return self._stage_labels[:n], self._stage_items[:n], self._keys[:n]
-
-    def class_sort(
-        self, ring: ReportRing, n_classes: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Drain ``ring`` into one class-sorted batch, stably in O(n).
-
-        Reports keep their arrival order within each class — the exact
-        order the old per-class list buffering produced — so drain-log
-        replays stay bit-identical.
-        """
-        n = len(ring)
-        items = np.empty(n, dtype=np.int64)
-        labels = np.empty(n, dtype=np.int64)
-        if n_classes == 1:
-            ring.consume(labels, items)  # int32 -> int64, one pass
-            labels.fill(0)
-            return labels, items
-        stage_labels, stage_items, keys = self._staging(
-            n, _key_dtype(n_classes)
-        )
-        ring.consume(stage_labels, stage_items)  # int32 memcpy, <= 2 slices
-        # Counting sort: the class histogram and bucket bounds come from
-        # one bincount + cumsum; the stable placement radixes the
-        # byte-narrowed keys (one counting pass per key byte) and gathers
-        # the items through the resulting order, widening on the way out.
-        counts = np.bincount(stage_labels, minlength=n_classes)
-        np.copyto(keys, stage_labels, casting="unsafe")
-        order = keys.argsort(kind="stable")
-        items[:] = stage_items[order]
-        bounds = np.cumsum(counts)
-        start = 0
-        for label in range(n_classes):
-            end = int(bounds[label])
-            if end > start:
-                labels[start:end] = label
-            start = end
-        return labels, items

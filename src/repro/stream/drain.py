@@ -26,12 +26,9 @@ can be given instead of the raw knobs (``window=``); it is translated
 through :class:`~repro.stream.window.WindowPolicy`.
 
 Every ageing pass — hook-driven or out-of-band via :meth:`BatchDrain.age`
-— is appended to the drain log as an explicit decay event and bumps the
-adapter's :attr:`~BatchDrain.generation` counter.  The log event makes
-offline replay exact (replaying ingest alone would have to re-derive
-decay points from thresholds, which differing batch splits would move);
-the generation counter lets caches detect state changes that no submit
-accompanied.
+— is appended to the drain log as an explicit decay event.  That makes
+offline replay exact: replaying ingest alone would have to re-derive
+decay points from thresholds, which differing batch splits would move.
 
 A failed :meth:`~BatchDrain.drain` waits for every queued batch before
 it re-raises the first error in submission order, so no batch is still
@@ -103,8 +100,6 @@ class BatchDrain:
         self.decay = decay
         self.decay_every = decay_every
         self._since_decay = 0
-        #: Bumped on every ageing pass — state changes without a submit.
-        self.generation = 0
         #: Reports handed to :meth:`submit` across the adapter's lifetime.
         #: Credited synchronously on the submitting thread, so front-ends
         #: can detect submitted-but-not-yet-credited work without waiting
@@ -181,13 +176,12 @@ class BatchDrain:
         raise NotImplementedError
 
     def _age(self, factor: float) -> None:
-        """Apply ``factor`` to every target, bump the generation counter,
-        and record the event in the drain log.  The compounded factor is
-        logged (not the per-period knob) so replay applies exactly the
-        rounding passes the live run did."""
+        """Apply ``factor`` to every target and record the event in the
+        drain log.  The compounded factor is logged (not the per-period
+        knob) so replay applies exactly the rounding passes the live run
+        did."""
         for target in self._decay_targets():
             target.decay(factor)
-        self.generation += 1
         if self.drain_log is not None:
             self.drain_log.append((DECAY_EVENT, float(factor), None))
 

@@ -1,5 +1,5 @@
-"""The zero-allocation ingest fast lane: ring buffers, counting-sort
-flushes, coalesced frame decode, and the epoch-cached query plane."""
+"""The zero-allocation ingest fast lane: ring buffers, arrival-order
+flushes, coalesced frame decode, and queries over drained state."""
 
 import asyncio
 
@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DomainError
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import ReportClient, ReportCollector, protocol
 from repro.serve.protocol import ServeError, WireError
-from repro.serve.registry import HostedSession
-from repro.serve.ringbuf import (
-    FlushArena,
-    MIN_RING_CAPACITY,
-    ReportRing,
-    _pow2_at_least,
-)
+from repro.serve.registry import HostedSession, SessionRegistry
+from repro.serve.ringbuf import MIN_RING_CAPACITY, ReportRing, _pow2_at_least
 from repro.stream.session import OnlineFrameworkSession
 
 
@@ -160,54 +156,146 @@ class TestReportRing:
         np.testing.assert_array_equal(out_i, flat[1::2])
 
 
-class TestFlushArena:
-    def _sorted_reference(self, labels, items):
-        order = np.argsort(labels, kind="stable")
-        return labels[order].astype(np.int64), items[order].astype(np.int64)
+def _body(labels, items):
+    return protocol.encode_reports(labels, items)[5:]  # strip len+type
+
+
+class TestHostedFlush:
+    """``HostedSession.flush`` copies the ring's window out once, in
+    arrival order, into fresh ``int64`` columns cut at ``flush_reports``."""
+
+    def _flush_rounds(
+        self, rounds, n_classes=5, n_items=64, flush_reports=65_536, metrics=None
+    ):
+        """Buffer each round's frames and flush them, then settle.
+
+        Returns the (closed) hosted session and each flush's count.
+        """
+        registry = SessionRegistry(
+            record=True, flush_reports=flush_reports, metrics=metrics
+        )
+        hosted, _ = registry.open(
+            dict(
+                session="flush",
+                framework="ptj",
+                epsilon=2.0,
+                n_classes=n_classes,
+                n_items=n_items,
+                seed=3,
+            )
+        )
+
+        async def scenario():
+            flushed = []
+            for frames in rounds:
+                hosted.buffer_frames([_body(l, i) for l, i in frames])
+                flushed.append(hosted.flush())
+            await hosted.settle()
+            return flushed
+
+        try:
+            return hosted, run(scenario())
+        finally:
+            registry.close()
 
     @pytest.mark.parametrize("n_classes", [1, 3, 5, 300, 70_000])
-    def test_class_sort_matches_stable_reference(self, n_classes):
+    def test_flush_matches_arrival_order_reference(self, n_classes):
         rng = np.random.default_rng(9)
         labels = rng.integers(0, n_classes, 2000).astype(np.int32)
-        items = rng.integers(0, 50, 2000).astype(np.int32)
-        ring = ReportRing()
-        ring.append(labels, items)
-        got_l, got_i = FlushArena().class_sort(ring, n_classes)
-        ref_l, ref_i = self._sorted_reference(labels, items)
+        items = rng.integers(0, 4, 2000).astype(np.int32)
+        frames = [(labels[:700], items[:700]), (labels[700:], items[700:])]
+        hosted, flushed = self._flush_rounds(
+            [frames], n_classes=n_classes, n_items=4
+        )
+        assert flushed == [2000]
+        assert hosted.ingest_stats()["buffered"] == 0  # the flush drains the ring
+        [(_, got_l, got_i)] = hosted.drain_log
         assert got_l.dtype == np.int64 and got_i.dtype == np.int64
-        np.testing.assert_array_equal(got_l, ref_l)
-        np.testing.assert_array_equal(got_i, ref_i)
-        assert len(ring) == 0  # the sort drains the ring
+        np.testing.assert_array_equal(got_l, labels)
+        np.testing.assert_array_equal(got_i, items)
 
-    def test_within_class_arrival_order_is_stable(self):
-        # Tag items with their arrival index so stability is observable:
-        # the exact order the old per-class list buffering produced.
-        labels = np.array([2, 0, 2, 1, 0, 2, 1, 0], dtype=np.int32)
-        items = np.arange(8, dtype=np.int32)
-        ring = ReportRing()
-        ring.append(labels[:5], items[:5])
-        ring.append(labels[5:], items[5:])
-        got_l, got_i = FlushArena().class_sort(ring, 3)
-        np.testing.assert_array_equal(got_l, [0, 0, 0, 1, 1, 2, 2, 2])
-        np.testing.assert_array_equal(got_i, [1, 4, 7, 3, 6, 0, 2, 5])
+    def test_flush_cuts_flush_reports_sub_batches(self):
+        labels, items = _reports(1000, seed=3)
+        frames = [(labels[:450], items[:450]), (labels[450:], items[450:])]
+        hosted, flushed = self._flush_rounds([frames], flush_reports=300)
+        assert flushed == [1000]
+        log = hosted.drain_log
+        assert [entry[1].size for entry in log] == [300, 300, 300, 100]
+        np.testing.assert_array_equal(
+            np.concatenate([entry[1] for entry in log]), labels
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([entry[2] for entry in log]), items
+        )
 
-    def test_output_batches_are_fresh_not_arena_scratch(self):
-        # Drain adapters consume flush batches asynchronously and the
-        # drain log retains them forever: a later flush reusing the same
-        # memory would corrupt already-submitted reports.
-        arena = FlushArena()
-        ring = ReportRing()
-        first_l, first_i = _reports(500, seed=5)
-        ring.append(first_l, first_i)
-        out1_l, out1_i = arena.class_sort(ring, 5)
-        keep_l, keep_i = out1_l.copy(), out1_i.copy()
-        second_l, second_i = _reports(500, seed=6)
-        ring.append(second_l, second_i)
-        out2_l, out2_i = arena.class_sort(ring, 5)
-        assert not np.shares_memory(out1_l, out2_l)
-        assert not np.shares_memory(out1_i, out2_i)
-        np.testing.assert_array_equal(out1_l, keep_l)
-        np.testing.assert_array_equal(out1_i, keep_i)
+    def test_flush_keeps_arrival_order_across_the_ring_wrap(self):
+        # The ring holds max(2 * flush_reports, 8192) reports: after 8000,
+        # the second round's window straddles the physical end.
+        first = _reports(8000, seed=4)
+        second = [_reports(250, seed=5), _reports(250, seed=6)]
+        hosted, flushed = self._flush_rounds(
+            [[first], second], flush_reports=4096
+        )
+        assert flushed == [8000, 500]
+        assert hosted._ring.capacity == 8192  # wrapped in place, not regrown
+        (_, got_l, got_i) = hosted.drain_log[-1]
+        np.testing.assert_array_equal(
+            got_l, np.concatenate([second[0][0], second[1][0]])
+        )
+        np.testing.assert_array_equal(
+            got_i, np.concatenate([second[0][1], second[1][1]])
+        )
+
+    def test_output_batches_are_fresh_not_ring_views(self):
+        # Drain adapters consume flush batches on worker threads and the
+        # drain log keeps them: the ring reusing its slots for later
+        # reports must not reach already-submitted batches.
+        # Three 4000-report flushes lap the 8192-slot ring: the third
+        # writes over the slots the first was copied out of.
+        sent = [_reports(4000, seed=s) for s in (5, 6, 7)]
+        hosted, flushed = self._flush_rounds(
+            [[batch] for batch in sent], flush_reports=4096
+        )
+        assert hosted._ring.capacity == 8192
+        assert flushed == [4000, 4000, 4000]
+        log = hosted.drain_log
+        assert len(log) == 3
+        for (_, got_l, got_i), (ref_l, ref_i) in zip(log, sent):
+            np.testing.assert_array_equal(got_l, ref_l)
+            np.testing.assert_array_equal(got_i, ref_i)
+            assert not np.shares_memory(got_l, hosted._ring._labels)
+            assert not np.shares_memory(got_i, hosted._ring._items)
+        assert not np.shares_memory(log[0][1], log[2][1])
+        assert not np.shares_memory(log[0][2], log[2][2])
+
+    def test_empty_flush_submits_nothing(self):
+        empty = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
+        hosted, flushed = self._flush_rounds([[], [empty]])
+        assert flushed == [0, 0]
+        assert hosted.drain_log == []
+        stats = hosted.ingest_stats()
+        assert stats["n_accepted"] == stats["n_submitted"] == 0
+
+    def test_flush_times_the_copy_and_counts_the_reports(self):
+        metrics = MetricsRegistry(enabled=True)
+        rounds = [[_reports(700, seed=7)], [], [_reports(300, seed=8)]]
+        _, flushed = self._flush_rounds(rounds, metrics=metrics)
+        assert flushed == [700, 0, 300]
+        histograms = metrics.snapshot()["histograms"]
+        # One timed copy per flush that found reports; the empty one
+        # returns before the span.
+        assert histograms['serve_flush_sort_seconds{session="flush"}']["count"] == 2
+        sizes = histograms['serve_flush_reports{session="flush"}']
+        assert (sizes["count"], sizes["sum"]) == (2, 1000)
+
+    def test_ingest_stats_reconcile_after_a_clean_drain(self):
+        labels, items = _reports(1200, seed=9)
+        rounds = [[(labels[:800], items[:800])], [(labels[800:], items[800:])]]
+        hosted, _ = self._flush_rounds(rounds, flush_reports=500)
+        stats = hosted.ingest_stats()
+        assert stats["buffered"] == 0
+        assert stats["n_accepted"] == stats["n_submitted"] == 1200
+        assert (stats["n_drained"], stats["n_rejected"]) == (1200, 0)
 
 
 class TestFrameReader:
@@ -248,6 +336,11 @@ class TestFrameReader:
             return sizes
 
         assert run(scenario()) == [2, 2, 1]
+
+    def test_collector_coalesce_cap_is_not_an_argument(self):
+        # The collector reads with the reader's fixed cap of 64 frames.
+        with pytest.raises(TypeError, match="coalesce_frames"):
+            ReportCollector(coalesce_frames=8)
 
     def test_control_frame_stops_the_batch(self):
         reports = protocol.encode_reports(*_reports(10))
@@ -383,7 +476,53 @@ def _topk_config(**overrides):
     return config
 
 
-class TestEpochCachedQueries:
+class TestArrivalOrderFlush:
+    """A flush hands the drain the ring's window in arrival order, so one
+    connection's stream reads back from the drain log exactly as sent."""
+
+    @pytest.mark.parametrize(
+        "kind,shards",
+        [("framework", 1), ("framework", 2), ("topk", None)],
+        ids=["framework-1-shard", "framework-2-shards", "topk"],
+    )
+    def test_drain_log_concatenates_to_the_sent_stream(self, kind, shards):
+        labels, items = _reports(5000, seed=12, c=3, d=64)
+        if kind == "topk":
+            config = _topk_config(session="arrival-topk")
+        else:
+            config = dict(
+                session=f"arrival-{shards}",
+                framework="pts",
+                epsilon=2.0,
+                n_classes=3,
+                n_items=64,
+                seed=5,
+                shards=shards,
+            )
+
+        async def scenario():
+            async with ReportCollector(
+                record=True, flush_reports=512
+            ) as collector:
+                client = await ReportClient.connect(
+                    collector.host, collector.port, **config
+                )
+                async with client:
+                    await client.send(labels, items, chunk_size=300)
+                    await client.stats()  # flushes and drains every report
+                return list(collector.registry.get(config["session"]).drain_log)
+
+        log = run(scenario())
+        assert len(log) > 1
+        np.testing.assert_array_equal(
+            np.concatenate([entry[1] for entry in log]), labels
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([entry[2] for entry in log]), items
+        )
+
+
+class TestDrainedQueries:
     def _config(self, **overrides):
         config = dict(
             session="fastlane",
@@ -398,17 +537,7 @@ class TestEpochCachedQueries:
         config.update(overrides)
         return config
 
-    def _cache_counters(self, collector, session_id):
-        snapshot = collector.metrics.snapshot()["counters"]
-        hits = snapshot.get(
-            f'serve_query_cache_hits_total{{session="{session_id}"}}', 0
-        )
-        misses = snapshot.get(
-            f'serve_query_cache_misses_total{{session="{session_id}"}}', 0
-        )
-        return hits, misses
-
-    def test_repeated_query_hits_cache_and_matches(self):
+    def test_repeated_query_matches(self):
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 3, 2000)
         items = rng.integers(0, 32, 2000)
@@ -423,24 +552,26 @@ class TestEpochCachedQueries:
                     await client.send(labels, items)
                     first = await client.estimate()
                     second = await client.estimate()
-                    hits, misses = self._cache_counters(collector, "fastlane")
-                return first, second, hits, misses
+                histograms = collector.metrics.snapshot()["histograms"]
+                return first, second, histograms
 
-        first, second, hits, misses = run(scenario())
+        first, second, histograms = run(scenario())
         np.testing.assert_array_equal(first, second)
-        assert misses == 1
-        assert hits == 1
+        # Both queries drained and ran the estimator on a worker.
+        assert histograms['serve_query_seconds{session="fastlane"}']["count"] == 2
 
-    def test_failed_drain_settles_cache_and_pending(self, monkeypatch):
+    def test_failed_drain_settles_pending(self, monkeypatch):
         """One shard batch raises: the query that drains it reports the
-        error, and after it a repeated estimate answers from cache and
-        ``stats`` reads no pending reports."""
+        error, and after it a repeated estimate answers the same state,
+        ``stats`` reads no pending reports, and the STATS frame accounts
+        for every submitted report as drained or rejected."""
         ingest = OnlineFrameworkSession.ingest_batch
         raised = []
 
         def fail_once(self, labels, items=None):
             if not raised:
-                raised.append(True)
+                batch = labels if items is None else (labels, items)
+                raised.append(len(batch[0]))
                 raise DomainError("injected shard failure")
             return ingest(self, labels, items)
 
@@ -463,19 +594,20 @@ class TestEpochCachedQueries:
                     first = await client.estimate()
                     second = await client.estimate()
                     stats = await client.stats()
-                    hits, misses = self._cache_counters(
-                        collector, "fastlane-reject"
-                    )
-                return first, second, stats, hits, misses
+                    live = await client.server_stats()
+                return first, second, stats, live
 
-        first, second, stats, hits, misses = run(scenario())
+        first, second, stats, live = run(scenario())
         np.testing.assert_array_equal(first, second)
-        assert (hits, misses) == (1, 1)
         assert stats["n_accepted"] == 2000
         assert stats["pending"] == 0
         assert 0 < stats["n_ingested"] < 2000
+        [session] = live["sessions"]
+        assert session["n_submitted"] == 2000
+        assert session["n_rejected"] == raised[0]
+        assert session["n_drained"] + session["n_rejected"] == 2000
 
-    def test_new_reports_invalidate_the_cache(self):
+    def test_new_reports_reach_the_next_query(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 3, 3000)
         items = rng.integers(0, 32, 3000)
@@ -489,21 +621,16 @@ class TestEpochCachedQueries:
                 async with client:
                     await client.send(labels[:1500], items[:1500])
                     before = await client.estimate()
-                    await client.estimate()  # the cache hit
+                    await client.estimate()
                     await client.send(labels[1500:], items[1500:])
-                    after = await client.estimate()  # must recompute
-                    hits, misses = self._cache_counters(
-                        collector, "fastlane-inval"
-                    )
-                return before, after, hits, misses
+                    after = await client.estimate()
+                return before, after
 
-        before, after, hits, misses = run(scenario())
-        assert misses == 2  # initial + post-ingest recompute
-        assert hits == 1
-        # 1500 more reports folded in: the recomputed estimate moved.
+        before, after = run(scenario())
+        # 1500 more reports folded in: the next estimate moved.
         assert not np.array_equal(before, after)
 
-    def test_advance_round_invalidates_topk_cache(self):
+    def test_advance_round_reaches_the_next_topk(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 3, 2000)
         items = rng.integers(0, 64, 2000)
@@ -517,19 +644,17 @@ class TestEpochCachedQueries:
                 async with client:
                     await client.send(labels, items)
                     await client.topk()
-                    await client.topk()  # hit
-                    await client.advance_round()
-                    await client.topk()  # epoch moved: recompute
-                    hits, misses = self._cache_counters(
-                        collector, "fastlane-topk"
-                    )
-                return hits, misses
+                    state = await client.advance_round()
+                    served = await client.topk()
+                    miner = collector.registry.get("fastlane-topk")._drain.target
+                    return state, served, miner.round, miner.topk()
 
-        hits, misses = run(scenario())
-        assert misses == 2
-        assert hits == 1
+        state, served, round_after, live = run(scenario())
+        assert state["round"] == round_after == 1
+        # The answer after the advance ranks the advanced miner's frontier.
+        assert served == live
 
-    def test_distinct_specs_cache_separately(self):
+    def test_distinct_specs_answer_separately(self):
         rng = np.random.default_rng(6)
         labels = rng.integers(0, 3, 2000)
         items = rng.integers(0, 64, 2000)
@@ -546,25 +671,20 @@ class TestEpochCachedQueries:
                     b1 = await client.topk(4)
                     a2 = await client.topk(2)
                     b2 = await client.topk(4)
-                    hits, misses = self._cache_counters(
-                        collector, "fastlane-specs"
-                    )
-                return a1, b1, a2, b2, hits, misses
+                return a1, b1, a2, b2
 
-        a1, b1, a2, b2, hits, misses = run(scenario())
+        a1, b1, a2, b2 = run(scenario())
         assert a1 == a2 and b1 == b2
-        assert misses == 2
-        assert hits == 2
+        assert all(len(ids) == 2 for ids in a1.values())
+        assert all(len(ids) == 4 for ids in b1.values())
 
-    def test_cache_hit_does_not_wait_for_late_drained_callbacks(
-        self, monkeypatch
-    ):
+    def test_query_does_not_wait_for_late_drained_callbacks(self, monkeypatch):
         """A query's drain settles ``n_drained`` before the query answers,
         but the loop-side in-flight count only drops when each future's
         done callback hops back to the loop, and ``concurrent.futures``
         runs those callbacks after it wakes the drain's waiter.  Holding
-        every callback back past the repeated query must not turn that
-        query into a cache miss."""
+        every callback back past the repeated query must not stall it or
+        change its answer."""
         held = []
 
         def held_on_drained(self, loop, n, _future):
@@ -585,9 +705,6 @@ class TestEpochCachedQueries:
                     await client.send(labels, items)
                     first = await client.estimate()
                     second = await client.estimate()
-                    hits, misses = self._cache_counters(
-                        collector, "fastlane-late"
-                    )
                     session = collector.registry.get("fastlane-late")
                     held_back = session.ingest_stats()["inflight"]
                     for _ in range(500):  # callbacks land on worker threads
@@ -597,21 +714,18 @@ class TestEpochCachedQueries:
                     for hosted, n in list(held):
                         hosted._mark_drained(n)
                     released = session.ingest_stats()["inflight"]
-            return first, second, hits, misses, held_back, released
+            return first, second, held_back, released
 
-        first, second, hits, misses, held_back, released = run(scenario())
+        first, second, held_back, released = run(scenario())
         assert held_back == labels.size  # the decrements really were late
         assert released == 0
         np.testing.assert_array_equal(first, second)
-        assert misses == 1
-        assert hits == 1
 
 
 class TestTrickleFlusherSweep:
     def test_trickle_drains_within_flush_interval(self):
         """Buffers far below ``flush_reports`` must still drain on the
-        periodic sweep, and the sweep's drain must invalidate the epoch
-        cache exactly like a threshold flush."""
+        periodic sweep, and the next query must see the swept reports."""
         rng = np.random.default_rng(7)
         config = dict(
             session="trickle",
@@ -635,7 +749,6 @@ class TestTrickleFlusherSweep:
                         rng.integers(0, 3, 50), rng.integers(0, 32, 50)
                     )
                     baseline = await client.estimate()
-                    await client.estimate()  # warm the cache
                     # A trickle far below flush_reports (65536 default):
                     # only the periodic sweep can drain it.
                     await client.send(
@@ -656,24 +769,10 @@ class TestTrickleFlusherSweep:
                             loop.time() < deadline
                         ), f"sweep did not drain in time: {hosted.ingest_stats()}"
                         await asyncio.sleep(collector.flush_interval / 4)
-                    # The sweep submitted new reports: the stored epoch is
-                    # stale and the next estimate must recompute.
                     swept = await client.estimate()
-                    hits, misses = (
-                        collector.metrics.snapshot()["counters"].get(
-                            'serve_query_cache_hits_total{session="trickle"}',
-                            0,
-                        ),
-                        collector.metrics.snapshot()["counters"].get(
-                            'serve_query_cache_misses_total{session="trickle"}',
-                            0,
-                        ),
-                    )
-                return baseline, swept, hits, misses
+                return baseline, swept
 
-        baseline, swept, hits, misses = run(scenario())
-        # The sweep landed all 90 reports and invalidated the cache: the
-        # post-sweep estimate was recomputed against the drained state.
-        assert misses == 2
-        assert hits == 1
+        baseline, swept = run(scenario())
+        # The sweep landed all 90 reports: the post-sweep estimate was
+        # computed against the drained state.
         assert not np.array_equal(baseline, swept)

@@ -83,9 +83,9 @@ class TestStatsFrame:
 
     def test_fast_lane_instruments_reconcile_in_stats_frame(self):
         """The ingest fast lane's telemetry rides the same STATS snapshot:
-        decode/sort span histograms record every hot-path pass, the ring
-        gauges track occupancy/capacity, and the query-cache counters
-        match the observed hit/miss pattern exactly."""
+        decode/flush span histograms record every hot-path pass, the ring
+        gauges track occupancy/capacity, and every query's drain is
+        timed."""
         labels, items = _population(n=2000)
         config = _config(session="fastlanestats")
 
@@ -96,25 +96,22 @@ class TestStatsFrame:
                 )
                 async with client:
                     await client.send(labels, items, chunk_size=256)
-                    await client.estimate()  # miss
-                    await client.estimate()  # hit
+                    await client.estimate()
+                    await client.estimate()
                     live = await client.server_stats()
             return live
 
         live = run(scenario())
         session = 'session="fastlanestats"'
-        counters = live["metrics"]["counters"]
         gauges = live["metrics"]["gauges"]
         histograms = live["metrics"]["histograms"]
-        assert counters[f"serve_query_cache_misses_total{{{session}}}"] == 1
-        assert counters[f"serve_query_cache_hits_total{{{session}}}"] == 1
-        # Every coalesced decode pass and counting-sort flush is timed.
+        # Every coalesced decode pass and flush copy is timed.
         decode = histograms[f"serve_decode_seconds{{{session}}}"]
         assert decode["count"] >= 1 and decode["sum"] >= 0
         sort = histograms[f"serve_flush_sort_seconds{{{session}}}"]
         assert sort["count"] >= 1 and sort["sum"] >= 0
         query = histograms[f"serve_query_seconds{{{session}}}"]
-        assert query["count"] == 1  # the cache hit never reached a worker
+        assert query["count"] == 2  # every query reached a worker
         # The ring drained before the first query answered; capacity is
         # the pre-sized power of two covering two full flush thresholds.
         assert gauges[f"serve_ring_occupancy{{{session}}}"] == 0

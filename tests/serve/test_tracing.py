@@ -154,12 +154,13 @@ class TestTracedEndToEnd:
         tracer.clear()
         assert reply["result"]["session"] == "badtrace"
 
-    def test_traced_query_annotation_never_reaches_the_cache_key(self):
-        """Two identical queries on a traced connection must still hit
-        the per-epoch cache: the per-request trace annotation is popped
-        before the spec becomes a cache key."""
+    def test_traced_queries_parent_on_their_client_spans(self):
+        """Each query frame's trace annotation is popped off the spec and
+        parents that query's collector span: two identical queries on a
+        traced connection record two collector spans under two distinct
+        client spans, and answer the same drained state."""
         labels, items = _population(n=600)
-        config = _config(session="tracecache", shards=1)
+        config = _config(session="tracequery", shards=1)
 
         async def scenario():
             async with ReportCollector() as collector:
@@ -168,18 +169,21 @@ class TestTracedEndToEnd:
                 )
                 async with client:
                     await client.send(labels, items)
-                    await client.estimate()  # miss
-                    await client.estimate()  # hit — despite fresh trace ids
-                    live = await client.server_stats()
-            return live
+                    first = await client.estimate()
+                    second = await client.estimate()
+            return first, second
 
         tracer = get_tracer()
         tracer.clear()
         with tracing_enabled():
-            live = run(scenario())
+            first, second = run(scenario())
+            spans = tracer.drain_spans()
         tracer.clear()
-        counters = live["metrics"]["counters"]
-        assert counters['serve_query_cache_hits_total{session="tracecache"}'] == 1
+        np.testing.assert_array_equal(first, second)
+        clients = [s["span_id"] for s in spans if s["name"] == "client.query"]
+        parents = [s["parent_id"] for s in spans if s["name"] == "collector.query"]
+        assert len(set(clients)) == 2
+        assert sorted(parents) == sorted(clients)
 
 
 class TestHealthVerdicts:
@@ -213,6 +217,12 @@ class TestHealthVerdicts:
             c for c in verdict["checks"] if c["check"] == "backpressure_stall"
         ]
         assert stalls and stalls[0]["session"] == "healthmid"
+        # The estimate's flush was timed, so its latency is graded too.
+        flushes = [
+            c for c in verdict["checks"]
+            if c["check"] == "flush_latency" and c.get("session") == "healthmid"
+        ]
+        assert flushes and flushes[0]["status"] in ("pass", "warn")
 
     def test_health_flips_pass_warn_fail_under_injected_stall(self):
         """Acceptance: the verdict flips pass -> warn -> fail as a

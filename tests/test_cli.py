@@ -95,10 +95,13 @@ class TestCLI:
         assert main(["table2", "--seed", "9"]) == 0
         assert "Table II" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["stream", "protocol", "serve", "drift"])
+    @pytest.mark.parametrize(
+        "command", ["stream", "protocol", "serve", "drift", "top"]
+    )
     def test_legacy_bench_commands_and_flags_are_gone(self, capsys, command):
-        """Throughput is perfbench's job: the legacy bench commands are
-        unknown experiments and their flags are not options."""
+        """Throughput is perfbench's job: the legacy bench commands (and
+        the deleted ``top`` console) are unknown experiments and their
+        flags are not options."""
         assert main([command]) == 2
         assert f"unknown experiment {command!r}" in capsys.readouterr().err
         for flag, value in REMOVED_FLAGS:
@@ -163,12 +166,21 @@ class TestCLI:
 
         args = build_serve_parser().parse_args([
             "--shards", "4", "--flush-reports", "1024", "--high-water",
-            "2048", "--coalesce", "1", "--flush-interval", "0.2",
+            "2048", "--flush-interval", "0.2",
         ])
         assert (args.shards, args.flush_reports, args.high_water) == (
             4, 1024, 2048,
         )
-        assert (args.coalesce, args.flush_interval) == (1, 0.2)
+        assert args.flush_interval == 0.2
+
+    def test_serve_parser_refuses_coalesce(self, capsys):
+        """Frame coalescing is a constant: ``--coalesce`` is no flag."""
+        from repro.cli import build_serve_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_serve_parser().parse_args(["--coalesce", "8"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --coalesce" in capsys.readouterr().err
 
 
 class TestObsCLI:
