@@ -9,7 +9,7 @@ matched to the paper's regime (see ``repro.datasets.realworld``);
 The success criterion everywhere is the paper's *shape* — method
 orderings, trend directions, crossovers — not absolute numbers, since the
 substrate is a seeded simulator and the real datasets are matched
-stand-ins (DESIGN.md Section 2).
+stand-ins (argued in ``repro.datasets.realworld._difficulty_scale``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Datasets: the container type plus the paper's six workloads.
 
 Real Kaggle data is unavailable offline; :mod:`repro.datasets.realworld`
-provides matched synthetic stand-ins (see DESIGN.md Section 2), and
+provides matched synthetic stand-ins (the argument for them is in
+``realworld._difficulty_scale``), and
 :mod:`repro.datasets.loaders` can ingest the originals if you have them.
 """
 

@@ -64,8 +64,16 @@ class AdaptiveMechanism(FrequencyOracle):
     def privatize(self, value):
         return self._inner.privatize(value)
 
-    def privatize_many(self, values):
-        return self._inner.privatize_many(values)
+    @property
+    def report_length(self):
+        """Bits in one report: the inner OUE's, ``None`` when GRR reports
+        a category instead."""
+        return getattr(self._inner, "report_length", None)
+
+    def privatize_many(self, values, out=None):
+        if out is None:
+            return self._inner.privatize_many(values)
+        return self._inner.privatize_many(values, out=out)
 
     def aggregate(self, reports):
         return self._inner.aggregate(reports)

@@ -2,16 +2,16 @@
 
 The unified report plane funnels every protocol path through three
 vectorised kernels — ``perturb_onehot``, ``categorical_support`` and
-``grouped_scatter`` — called from :mod:`repro.mechanisms.kernels`,
-:mod:`repro.mechanisms.engine` and :mod:`repro.mechanisms.correlated`.
-This package makes the *implementation* of those kernels swappable at
-runtime:
+``grouped_scatter`` — called from :mod:`repro.mechanisms.kernels` and
+:mod:`repro.mechanisms.engine`.  This package makes the
+*implementation* of those kernels swappable at runtime:
 
 * ``numpy`` — the reference implementations (:mod:`.numpy_backend`),
   always present;
-* ``numba`` — compiled ``nogil`` variants (:mod:`.numba_backend`),
-  selected only when the numba toolchain imports; their GIL-free compute
-  stages let the batch engine run independent blocks on real threads;
+* ``numba`` — compiled ``nogil`` variants of the two counting kernels
+  (:mod:`.numba_backend`), selected only when the numba toolchain
+  imports; their GIL-free compute stages let the batch engine run
+  independent blocks on real threads;
 * ``auto`` (default) — numba when available, else numpy.
 
 Selection is process-wide: the ``REPRO_BACKEND`` environment variable or
@@ -23,8 +23,9 @@ active selection is recorded in the telemetry registry (when enabled)
 and reported through :func:`backend_info`, which perfbench prints on
 its ``provenance:`` line.
 
-Whatever the backend, results are draw-for-draw and bit-for-bit
-identical to the NumPy reference — the seeded equivalence suite pins it.
+Whatever the backend, results are bit-for-bit identical to the NumPy
+reference — the seeded equivalence suite pins it — and every backend
+draws through the NumPy one-hot kernel.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Numba ``nogil`` variants of the hot report-plane kernels.
+"""Numba ``nogil`` variants of the report plane's counting kernels.
 
 Importing this module is always safe: when numba is absent every public
 symbol still exists and :func:`available` returns ``False`` — the
@@ -7,14 +7,12 @@ present, the compute stages compile with ``nogil=True`` so the batch
 engine can dispatch independent blocks onto a thread pool and actually
 run them in parallel.
 
-Draw-for-draw equivalence with :mod:`.numpy_backend` is a hard contract
-(the seeded equivalence suite pins it): the one-hot kernel draws its
-32-bit cells and integer thresholds through the reference's own helper
-(:func:`.numpy_backend.unary_cells`), on the *caller's NumPy generator*
-in exactly the reference order, and hands them to a compiled nogil
-threshold stage, so the random stream never depends on which backend
-ran.  Pure-compute kernels (counting, scatter) are bit-for-bit by
-construction.
+Only the deterministic kernels have twins here (``categorical_support``
+and ``grouped_scatter``), and they are bit-for-bit the NumPy reference by
+construction.  The one-hot perturbation has none: its cost is the
+draws from the caller's NumPy generator, which a twin would still make
+in NumPy, so it would compile only the cheap compare.  The registry's
+per-kernel fallback serves the NumPy kernel on this backend too.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...exceptions import AggregationError
-from .numpy_backend import unary_cells
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba as _numba
@@ -55,18 +52,6 @@ def version() -> str | None:
 # compiled nogil stages
 # ----------------------------------------------------------------------
 @_njit(nogil=True)
-def _threshold_onehot(cells, positions, p_cut, q_cut):  # pragma: no cover
-    n, width = cells.shape
-    out = np.empty((n, width), dtype=np.uint8)
-    for i in range(n):
-        for j in range(width):
-            out[i, j] = 1 if cells[i, j] < q_cut else 0
-        pos = positions[i]
-        out[i, pos] = 1 if cells[i, pos] < p_cut else 0
-    return out
-
-
-@_njit(nogil=True)
 def _categorical_support(reports, domain_size):  # pragma: no cover
     counts = np.zeros(domain_size, dtype=np.int64)
     for i in range(reports.size):
@@ -91,19 +76,6 @@ def _grouped_scatter(groups, bits, n_groups):  # pragma: no cover
 # ----------------------------------------------------------------------
 # registry-facing wrappers (NumPy-identical signatures and semantics)
 # ----------------------------------------------------------------------
-def perturb_onehot(positions, width, p, q, rng):
-    # The cells and thresholds come from the reference's helper on the
-    # caller's NumPy generator; only the GIL-free thresholding is
-    # compiled.  uint64 thresholds hold floor(p * 2**32) = 2**32 at p = 1.
-    cells, p_cut, q_cut = unary_cells(rng, positions.size, width, p, q)
-    return _threshold_onehot(
-        cells,
-        np.asarray(positions, dtype=np.int64),
-        np.uint64(p_cut),
-        np.uint64(q_cut),
-    )
-
-
 def categorical_support(reports, domain_size, name="categorical"):
     counts, in_domain = _categorical_support(
         np.asarray(reports, dtype=np.int64), np.int64(domain_size)
@@ -123,7 +95,6 @@ def grouped_scatter(groups, bits, n_groups):
 
 #: Kernel table exposed to the registry (only consulted when available()).
 KERNELS = {
-    "perturb_onehot": perturb_onehot,
     "categorical_support": categorical_support,
     "grouped_scatter": grouped_scatter,
 }

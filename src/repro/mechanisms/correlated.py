@@ -38,7 +38,7 @@ import numpy as np
 from ..exceptions import AggregationError, ConfigurationError, DomainError
 from ..rng import RngLike, ensure_rng
 from ..types import INVALID_ITEM
-from .backends import get_kernel
+from .backends.numpy_backend import byte_lane_sums, group_order
 from .base import check_domain_size, check_epsilon
 from .grr import GeneralizedRandomResponse, grr_probabilities
 from .kernels import as_bit_matrix, perturb_onehot_batch
@@ -60,11 +60,11 @@ def fold_correlated_batch(
     :meth:`CorrelatedPerturbation.aggregate_batch` folds every batch
     through it, the streaming PTS-CP session's included, so the fold
     cannot drift between the one-shot and streaming paths.
-    The item rows of clear-flag reports are summed per perturbed label by
-    the backend registry's ``grouped_scatter`` kernel — the one PTS's
-    :func:`~repro.mechanisms.engine.grouped_batch_support` uses.  Labels
-    outside ``[0, c)`` raise :class:`AggregationError` before any array
-    changes.
+    The clear-flag rows, sorted by perturbed label, are gathered once
+    and summed per label eight bits per add by
+    :func:`~repro.mechanisms.backends.numpy_backend.byte_lane_sums`.
+    ``bits`` is a bool or 0/1 uint8 matrix.  Labels outside ``[0, c)``
+    raise :class:`AggregationError` before any array changes.
     """
     c, d = item_support.shape
     labels = np.asarray(labels, dtype=np.int64)
@@ -72,11 +72,16 @@ def fold_correlated_batch(
     if labels.size and labels.view(np.uint64).max() >= c:
         raise AggregationError(f"label outside [0, {c})")
     flag = bits[:, d].astype(bool)
-    keep = ~flag
     label_counts += np.bincount(labels, minlength=c)
     flag_support += np.bincount(labels[flag], minlength=c)
-    scatter = get_kernel("grouped_scatter")
-    item_support += scatter(labels[keep], bits[keep, :d], c)
+    keep = np.flatnonzero(~flag)
+    kept = labels[keep]
+    counts = np.bincount(kept, minlength=c)
+    filled = np.flatnonzero(counts)
+    if filled.size:
+        bounds = [0, *np.cumsum(counts[filled]).tolist()]
+        order = keep[group_order(kept, c)]
+        item_support[filled] += byte_lane_sums(bits[:, :d], bounds, order)
 
 
 def as_correlated_columns(reports, n_items: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +188,11 @@ class CorrelatedPerturbation:
         """Total budget ε = ε₁ + ε₂ consumed per user."""
         return self.epsilon1 + self.epsilon2
 
+    @property
+    def report_length(self) -> int:
+        """Number of bits in one report's item vector (items + flag)."""
+        return self._item_mech.report_length
+
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
@@ -216,7 +226,10 @@ class CorrelatedPerturbation:
         return clone
 
     def privatize_many(
-        self, labels: np.ndarray, items: np.ndarray
+        self,
+        labels: np.ndarray,
+        items: np.ndarray,
+        out: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Perturb a batch of label-item pairs into columnar reports.
 
@@ -225,7 +238,8 @@ class CorrelatedPerturbation:
         pass: GRR on the labels, then the shared one-hot kernel with the
         set bit at the item for label survivors and at the flag for
         everyone else (including pre-invalidated items, marked by any
-        negative value).
+        negative value).  ``out``, a ``(batch, d + 1)`` bool array,
+        receives the bits when given.
         """
         labels = np.asarray(labels, dtype=np.int64).ravel()
         items = np.asarray(items, dtype=np.int64).ravel()
@@ -241,7 +255,7 @@ class CorrelatedPerturbation:
         valid = (items >= 0) & (perturbed == labels)
         positions = np.where(valid, items, self._item_mech.flag_position)
         bits = perturb_onehot_batch(
-            positions, self.n_items + 1, self.p2, self.q2, self.rng
+            positions, self.report_length, self.p2, self.q2, self.rng, out
         )
         return perturbed, bits
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Iterator, Optional, Union
@@ -30,6 +31,7 @@ from ..exceptions import AggregationError, ConfigurationError
 from ..obs import metrics as _obs
 from ..rng import ensure_rng, spawn_seeds
 from .backends import active_backend, get_kernel
+from .backends.numpy_backend import group_order
 
 #: How many report bits one privatised block may materialise at once.
 BLOCK_ELEMENTS = 2_000_000
@@ -127,6 +129,39 @@ def _as_bits(reports):
     return reports
 
 
+#: Each thread's report-bit buffer (see :func:`_bit_workspace`).
+_WORKSPACE = threading.local()
+
+
+def _bit_workspace(rows: int, width: int) -> np.ndarray:
+    """This thread's report-bit buffer as a ``(rows, width)`` bool array.
+
+    The unary oracles privatise each block into it, and the fold reads it
+    before the thread privatises its next block.  It outlives the call
+    and only ever grows: a buffer freed after every block is handed back
+    to the OS and faulted in afresh, which on the serve path cost more
+    than the privatisation itself.  One buffer per thread, so
+    concurrently running block clones never share one.
+    """
+    need = rows * width
+    buffer = getattr(_WORKSPACE, "bits", None)
+    if buffer is None or buffer.size < need:
+        buffer = _WORKSPACE.bits = np.empty(need, dtype=np.bool_)
+    return buffer[:need].reshape(rows, width)
+
+
+def _privatize(oracle, columns: tuple):
+    """``oracle.privatize_many(*columns)`` with bit-vector reports written
+    into this thread's workspace (oracles whose reports are rows of
+    ``report_length`` bits); categorical reports pass through.  The bit
+    matrix comes back as a bool view (:func:`_as_bits`)."""
+    width = getattr(oracle, "report_length", None)
+    if width is None:
+        return _as_bits(oracle.privatize_many(*columns))
+    out = _bit_workspace(columns[0].size, width)
+    return _as_bits(oracle.privatize_many(*columns, out=out))
+
+
 _NULL_SPAN = nullcontext()
 
 
@@ -209,54 +244,61 @@ def batch_support(
     column arrays for multi-input mechanisms (the correlated mechanism
     takes ``(labels, items)``).  Returns whatever the oracle's
     ``aggregate_batch`` returns — support vectors are summed across
-    blocks, so the result equals a single unbounded batch exactly.
+    blocks, so the result equals the sum of the blocks' own
+    ``aggregate_batch(privatize_many(block))`` calls, in order.  Unary
+    oracles privatise each block into a per-thread workspace
+    (:func:`_bit_workspace`).
 
     ``threads`` selects the execution schedule (default: the process
     override from :func:`set_default_threads`, then ``REPRO_THREADS``,
     then serial).  Serial runs privatise blocks sequentially off the
-    oracle's own generator — bit-identical to the pre-threading engine.
-    Any explicit thread count switches to pre-split per-block streams
-    with an ordered reduction, making the result *independent of the
-    thread count*: ``threads=1`` and ``threads=8`` agree bit-for-bit
-    (blocks only actually overlap when the active kernel backend is
-    GIL-free).
+    oracle's own generator.  Any explicit thread count switches to
+    pre-split per-block streams with an ordered reduction, making the
+    result *independent of the thread count*: ``threads=1`` and
+    ``threads=8`` agree bit-for-bit (blocks only actually overlap when
+    the active kernel backend is GIL-free).
     """
     cols = _columns(values)
-    n = int(cols[0].size)
     width = max(1, int(oracle.communication_bits()))
-    telemetry = _telemetry(oracle, n)
-    thread_count = _resolve_threads(threads)
+    telemetry = _telemetry(oracle, cols[0].size)
+
+    def block(cut, block_oracle):
+        with _block_span(telemetry):
+            reports = _privatize(block_oracle, tuple(col[cut] for col in cols))
+            return block_oracle.aggregate_batch(reports)
+
     support = None
-    if thread_count is None:
-        for cut in batch_spans(n, width, block_elements):
-            with _block_span(telemetry):
-                reports = oracle.privatize_many(*(col[cut] for col in cols))
-                block = oracle.aggregate_batch(_as_bits(reports))
-            support = block if support is None else support + block
-    else:
-        spans = list(batch_spans(n, width, block_elements))
-        oracles = _block_oracles(oracle, spans)
-
-        def _block_task(cut, block_oracle):
-            def run():
-                with _block_span(telemetry):
-                    reports = block_oracle.privatize_many(
-                        *(col[cut] for col in cols)
-                    )
-                    return block_oracle.aggregate_batch(_as_bits(reports))
-
-            return run
-
-        blocks = _run_blocks(
-            [_block_task(cut, clone) for cut, clone in zip(spans, oracles)],
-            thread_count,
-        )
-        for block in blocks:
-            support = block if support is None else support + block
+    for partial in _blocks(oracle, block, cols[0].size, width, block_elements, threads):
+        support = partial if support is None else support + partial
     if support is None:  # empty batch: aggregate nothing for typed zeros
         reports = oracle.privatize_many(*(col[:0] for col in cols))
         support = oracle.aggregate_batch(reports)
     return support
+
+
+def _blocks(oracle, block, n_values, width, block_elements, threads):
+    """Yield ``block(cut, oracle)`` over the batch's spans, in order.
+
+    With no thread count every block runs on ``oracle`` itself, so the
+    blocks draw one after another from its generator; any explicit count
+    gives each block a clone on its own pre-split stream
+    (:func:`_block_oracles`) and may run them on a pool
+    (:func:`_run_blocks`).
+    """
+    thread_count = _resolve_threads(threads)
+    spans = batch_spans(n_values, width, block_elements)
+    if thread_count is None:
+        for cut in spans:
+            yield block(cut, oracle)
+        return
+    spans = list(spans)
+    yield from _run_blocks(
+        [
+            (lambda cut=cut, clone=clone: block(cut, clone))
+            for cut, clone in zip(spans, _block_oracles(oracle, spans))
+        ],
+        thread_count,
+    )
 
 
 def grouped_batch_support(
@@ -273,12 +315,12 @@ def grouped_batch_support(
     The label-grouped aggregation PTS-style sessions need — item reports
     are summed into the perturbed label's row instead of one global
     support.  ``oracle`` must produce fixed-width bit-vector reports of
-    ``oracle.domain_size`` bits (OUE/SUE).  Each block's sum goes through
-    the backend registry's ``grouped_scatter`` kernel, the one PTS-CP's
-    flag-filtered fold (:func:`~repro.mechanisms.correlated.fold_correlated_batch`)
-    also uses: a group-sorted column sum on NumPy, a compiled ``nogil``
-    loop on numba.  Group ids are checked against ``[0, n_groups)`` once,
-    here, because the kernels do no bounds checks (numba compiles
+    ``oracle.domain_size`` bits (OUE/SUE).  Each block privatises its
+    users in group order (a stable sort), into the per-thread workspace,
+    and its sum goes through the backend registry's ``grouped_scatter``
+    kernel, which on NumPy then sums each group's run of rows in place,
+    with no row gather.  Group ids are checked against ``[0, n_groups)``
+    once, here, because the kernels do no bounds checks (numba compiles
     without them).  ``threads`` behaves exactly as in
     :func:`batch_support`.
     """
@@ -295,30 +337,14 @@ def grouped_batch_support(
     width = int(oracle.domain_size)
     telemetry = _telemetry(oracle, values.size)
     scatter = get_kernel("grouped_scatter")
+
+    def block(cut, block_oracle):
+        with _block_span(telemetry):
+            order = group_order(groups[cut], n_groups)
+            bits = _privatize(block_oracle, (values[cut][order],))
+            return scatter(groups[cut][order], bits, n_groups)
+
     out = np.zeros((n_groups, width), dtype=np.int64)
-    thread_count = _resolve_threads(threads)
-    if thread_count is None:
-        for cut in batch_spans(values.size, width, block_elements):
-            with _block_span(telemetry):
-                bits = _as_bits(np.asarray(oracle.privatize_many(values[cut])))
-                out += scatter(groups[cut], bits, n_groups)
-        return out
-    spans = list(batch_spans(values.size, width, block_elements))
-    oracles = _block_oracles(oracle, spans)
-
-    def _block_task(cut, block_oracle):
-        def run():
-            with _block_span(telemetry):
-                bits = _as_bits(
-                    np.asarray(block_oracle.privatize_many(values[cut]))
-                )
-                return scatter(groups[cut], bits, n_groups)
-
-        return run
-
-    for partial in _run_blocks(
-        [_block_task(cut, clone) for cut, clone in zip(spans, oracles)],
-        thread_count,
-    ):
+    for partial in _blocks(oracle, block, values.size, width, block_elements, threads):
         out += partial
     return out

@@ -21,6 +21,8 @@ reference or a compiled ``nogil`` variant — is active for the process.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..exceptions import AggregationError
@@ -123,6 +125,7 @@ def perturb_onehot_batch(
     p: float,
     q: float,
     rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Perturbed one-hot rows: ``positions[u]`` is user ``u``'s set bit and
     every bit keeps/flips with the ``(p, q)`` law.
@@ -130,34 +133,37 @@ def perturb_onehot_batch(
     The one unary-encoding perturbation kernel shared by OUE/SUE, the
     validity perturbation (whose set bit may be the flag) and the
     correlated mechanism's item stage.  Each row consumes
-    ``ceil(width / 2)`` 64-bit words of the generator in order, split
-    into ``width`` 32-bit cells; a bit is set when its cell is below
-    ``floor(p * 2**32)`` at ``positions[u]`` and ``ceil(q * 2**32)``
-    elsewhere (see
-    :func:`~repro.mechanisms.backends.numpy_backend.unary_cells`).  A
-    batch is therefore draw-for-draw identical to the per-user
-    ``privatize`` loop on the same generator, and the realised budget
-    never exceeds the nominal ε.
+    ``ceil(width / 8)`` 64-bit words of the generator in order, split
+    into ``width`` byte cells; a bit is set when its cell's byte is below
+    the high byte of ``floor(p * 2**32)`` at ``positions[u]`` and of
+    ``ceil(q * 2**32)`` elsewhere, and a cell whose byte ties that high
+    byte (one in 256) settles on a fresh 24-bit low part, drawn after
+    all the rows' words (see
+    :func:`~repro.mechanisms.backends.numpy_backend.unary_bits`).  So each
+    bit is set with probability exactly threshold / 2**32, and the
+    realised budget never exceeds the nominal ε.  A one-row batch draws
+    exactly what the per-user ``privatize`` draws.
 
-    Memory is ``batch × width``; callers with unbounded batches go through
-    :func:`repro.mechanisms.engine.batch_support`, which blocks the input.
+    ``out``, a C-contiguous ``(batch, width)`` bool array, receives the
+    rows when given; the result is then its uint8 view.  Memory is ``batch ×
+    width``; callers with unbounded batches go through
+    :func:`repro.mechanisms.engine.batch_support`, which blocks the input
+    and privatises each block into a per-thread workspace.
     """
     positions = np.asarray(positions, dtype=np.int64).ravel()
+    if out is not None and (
+        out.shape != (positions.size, width)
+        or out.dtype != np.bool_
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous ({positions.size}, {width}) bool array"
+        )
     registry = _obs.get_registry()
     if not registry.enabled:
-        return _perturb_onehot(positions, width, p, q, rng)
+        return get_kernel("perturb_onehot")(positions, width, p, q, rng, out)
     registry.histogram(
         "kernel_onehot_rows", buckets=_obs.DEFAULT_COUNT_BUCKETS
     ).observe(positions.size)
     with registry.span("kernel_onehot_seconds"):
-        return _perturb_onehot(positions, width, p, q, rng)
-
-
-def _perturb_onehot(
-    positions: np.ndarray,
-    width: int,
-    p: float,
-    q: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    return get_kernel("perturb_onehot")(positions, width, p, q, rng)
+        return get_kernel("perturb_onehot")(positions, width, p, q, rng, out)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..exceptions import AggregationError, DomainError
 from ..rng import RngLike
-from .backends.numpy_backend import unary_cells
+from .backends.numpy_backend import perturb_encoded
 from .base import FrequencyOracle, calibrate_counts, pure_protocol_variance
 from .kernels import bit_matrix_support, perturb_onehot_batch
 
@@ -48,6 +48,11 @@ class UnaryEncoding(FrequencyOracle):
         self.p = float(p)
         self.q = float(q)
 
+    @property
+    def report_length(self) -> int:
+        """Number of bits in one report."""
+        return self.domain_size
+
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
@@ -60,29 +65,31 @@ class UnaryEncoding(FrequencyOracle):
 
     def perturb_bits(self, bits: np.ndarray) -> np.ndarray:
         """Flip each bit of an encoded vector with the (p, q) law: one
-        32-bit cell per bit from :func:`unary_cells`, compared against
-        its integer threshold."""
+        byte cell per bit, as one row of :meth:`privatize_many` draws
+        (see :func:`~repro.mechanisms.backends.numpy_backend.unary_bits`)."""
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (self.domain_size,):
             raise AggregationError(
                 f"expected bits of shape ({self.domain_size},), got {bits.shape}"
             )
-        cells, p_cut, q_cut = unary_cells(
-            self.rng, 1, self.domain_size, self.p, self.q
-        )
-        return (cells[0] < np.where(bits == 1, p_cut, q_cut)).view(np.uint8)
+        return perturb_encoded(bits, self.p, self.q, self.rng)
 
     def privatize(self, value: int) -> np.ndarray:
         return self.perturb_bits(self.encode(value))
 
-    def privatize_many(self, values: np.ndarray) -> np.ndarray:
+    def privatize_many(
+        self, values: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Perturb a batch of values into a ``(batch, d)`` uint8 bit matrix.
 
-        One vectorised pass through the shared one-hot kernel.  Each row
-        consumes ``ceil(d / 2)`` 64-bit words of the generator, split into
-        ``d`` 32-bit cells, so it is draw-for-draw identical to
-        :meth:`privatize` on the same generator.  Memory is ``batch × d``
-        — unbounded batches go through
+        One vectorised pass through the shared one-hot kernel: each row
+        consumes ``ceil(d / 8)`` 64-bit words of the generator, split into
+        ``d`` byte cells, and each cell that ties its threshold's high
+        byte one more word after all the rows'.  So ``privatize(v)`` draws
+        exactly what ``privatize_many([v])`` draws.  ``out``, a ``(batch,
+        d)`` bool array, receives the bits when given (the batch engine
+        passes its per-thread workspace).  Memory is ``batch × d`` —
+        unbounded batches go through
         :func:`repro.mechanisms.engine.batch_support`.
         """
         values = np.asarray(values, dtype=np.int64).ravel()
@@ -90,7 +97,9 @@ class UnaryEncoding(FrequencyOracle):
             raise DomainError(
                 f"values outside domain [0, {self.domain_size})"
             )
-        return perturb_onehot_batch(values, self.domain_size, self.p, self.q, self.rng)
+        return perturb_onehot_batch(
+            values, self.domain_size, self.p, self.q, self.rng, out
+        )
 
     # ------------------------------------------------------------------
     # server side

@@ -31,7 +31,7 @@ import numpy as np
 from ..exceptions import AggregationError, DomainError
 from ..rng import RngLike
 from ..types import INVALID_ITEM
-from .backends.numpy_backend import byte_lane_sums, unary_cells
+from .backends.numpy_backend import byte_lane_sums, perturb_encoded
 from .base import FrequencyOracle
 from .kernels import as_bit_matrix, perturb_onehot_batch
 
@@ -105,38 +105,38 @@ class ValidityPerturbation(FrequencyOracle):
         return bits
 
     def perturb_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Flip each of the ``d + 1`` bits with the (p, q) law: one 32-bit
-        cell per bit from :func:`unary_cells`, compared against its
-        integer threshold."""
+        """Flip each of the ``d + 1`` bits with the (p, q) law: one byte
+        cell per bit, as one row of :meth:`privatize_many` draws (see
+        :func:`~repro.mechanisms.backends.numpy_backend.unary_bits`)."""
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (self.report_length,):
             raise AggregationError(
                 f"expected bits of shape ({self.report_length},), got {bits.shape}"
             )
-        cells, p_cut, q_cut = unary_cells(
-            self.rng, 1, self.report_length, self.p, self.q
-        )
-        return (cells[0] < np.where(bits == 1, p_cut, q_cut)).view(np.uint8)
+        return perturb_encoded(bits, self.p, self.q, self.rng)
 
     def privatize(self, value: int) -> np.ndarray:
         return self.perturb_bits(self.encode(value))
 
-    def privatize_many(self, values: np.ndarray) -> np.ndarray:
+    def privatize_many(
+        self, values: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Perturb a batch into ``(batch, d + 1)`` uint8 reports.
 
         Negative values (:data:`~repro.types.INVALID_ITEM`) set the
         validity flag instead of an item bit; everything then flips with
-        the ``(p, q)`` law in one vectorised pass.  Each row consumes
-        ``ceil((d + 1) / 2)`` 64-bit words of the generator, split into
-        ``d + 1`` 32-bit cells, so it is draw-for-draw identical to
-        :meth:`privatize`.
+        the ``(p, q)`` law in one pass of the shared one-hot kernel, which
+        draws ``ceil((d + 1) / 8)`` 64-bit words per row and then one
+        word per tied byte cell.  So ``privatize(v)`` draws exactly what
+        ``privatize_many([v])`` draws.  ``out``, a ``(batch, d + 1)`` bool
+        array, receives the bits when given.
         """
         values = np.asarray(values, dtype=np.int64).ravel()
         if values.size and values.max() >= self.domain_size:
             raise DomainError(f"values outside domain [0, {self.domain_size})")
         positions = np.where(values < 0, self.flag_position, values)
         return perturb_onehot_batch(
-            positions, self.report_length, self.p, self.q, self.rng
+            positions, self.report_length, self.p, self.q, self.rng, out
         )
 
     # ------------------------------------------------------------------

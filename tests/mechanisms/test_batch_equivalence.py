@@ -98,17 +98,21 @@ class TestExactAggregation:
 
 
 class TestDrawIdenticalKernels:
-    """The one-hot kernel consumes a fixed ``ceil(width / 2)`` words per
-    row, row-major, so the batch is draw-for-draw the per-user loop on
-    the same generator."""
+    """The one-hot kernel draws a row's words and then its ties' words,
+    so one user's ``privatize(v)`` is draw-for-draw ``privatize_many([v])``
+    on the same generator, user after user."""
 
     @pytest.mark.parametrize("name", ["adaptive-oue", "oue", "sue", "vp"])
     def test_privatize_many_equals_privatize_loop(self, name):
         values = _values(ORACLES[name](np.random.default_rng(0)), np.random.default_rng(3), n=64)
-        batch = ORACLES[name](np.random.default_rng(42)).privatize_many(values)
+        batched_mech = ORACLES[name](np.random.default_rng(42))
+        batched = np.concatenate([batched_mech.privatize_many([v]) for v in values])
         looped_mech = ORACLES[name](np.random.default_rng(42))
         looped = np.stack([looped_mech.privatize(int(v)) for v in values])
-        np.testing.assert_array_equal(np.asarray(batch), looped)
+        np.testing.assert_array_equal(batched, looped)
+        assert (
+            batched_mech.rng.bit_generator.state == looped_mech.rng.bit_generator.state
+        )
 
 
 class TestDistributionalEquivalence:
@@ -168,6 +172,18 @@ class TestDistributionalEquivalence:
         assert (diff < 5 * sigma + 1e-9).all()
 
 
+def _block_calls(values, block_elements, seed):
+    """The blocked OUE run by hand: each block's own calls, in order."""
+    from repro.mechanisms.engine import batch_spans
+
+    oracle = OptimizedUnaryEncoding(EPS, 9, rng=np.random.default_rng(seed))
+    spans = list(batch_spans(values.size, 9, block_elements))
+    assert len(spans) > 1
+    return sum(
+        oracle.aggregate_batch(oracle.privatize_many(values[cut])) for cut in spans
+    )
+
+
 class TestEngine:
     def test_blocked_batch_support_sums_to_full_population(self):
         """Tiny blocks: every user reports exactly once."""
@@ -176,21 +192,19 @@ class TestEngine:
         support = batch_support(mech, values, block_elements=16)
         assert support.sum() == 500
 
-    def test_blocked_equals_unblocked_for_row_major_kernels(self):
-        """The one-hot kernel consumes a fixed number of words per row,
-        row-major, so block boundaries do not change the reports."""
+    def test_blocked_run_equals_its_blocks_calls_in_order(self):
+        """A blocked run is its blocks' own ``privatize_many`` +
+        ``aggregate_batch`` calls, one after another on the oracle's
+        generator."""
         values = np.random.default_rng(8).integers(0, 9, size=120)
         blocked = batch_support(
             OptimizedUnaryEncoding(EPS, 9, rng=np.random.default_rng(3)),
             values,
             block_elements=50,
         )
-        whole = batch_support(
-            OptimizedUnaryEncoding(EPS, 9, rng=np.random.default_rng(3)),
-            values,
-            block_elements=10**9,
+        np.testing.assert_array_equal(
+            blocked, _block_calls(values, block_elements=50, seed=3)
         )
-        np.testing.assert_array_equal(blocked, whole)
 
     def test_empty_batch_yields_typed_zeros(self):
         mech = OptimizedUnaryEncoding(EPS, 7, rng=np.random.default_rng(9))
@@ -212,20 +226,19 @@ class TestEngine:
 
     def test_block_smaller_than_row_width_degrades_to_single_rows(self):
         """A cap below one report's width still privatises every user —
-        one row per block — and matches the unblocked run draw-for-draw
-        for the row-major one-hot kernel."""
+        one row per block — and equals those one-row calls in order."""
         values = np.random.default_rng(22).integers(0, 9, size=37)
         tiny = batch_support(
             OptimizedUnaryEncoding(EPS, 9, rng=np.random.default_rng(23)),
             values,
             block_elements=3,  # < domain_size=9, i.e. less than one row
         )
-        whole = batch_support(
-            OptimizedUnaryEncoding(EPS, 9, rng=np.random.default_rng(23)),
-            values,
-            block_elements=10**9,
+        np.testing.assert_array_equal(
+            tiny, _block_calls(values, block_elements=3, seed=23)
         )
-        np.testing.assert_array_equal(tiny, whole)
+        from repro.mechanisms.engine import batch_spans
+
+        assert [s.stop - s.start for s in batch_spans(37, 9, 3)] == [1] * 37
 
     def test_zero_user_batch_for_multi_column_mechanism(self):
         mech = CorrelatedPerturbation(1.0, 1.0, n_classes=3, n_items=5,

@@ -14,6 +14,7 @@ is exercised here by monkeypatching a fake GIL-free backend — correctness
 must not depend on whether block thunks run inline or on pool workers.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -144,6 +145,8 @@ class TestSerialDefault:
         np.testing.assert_array_equal(got, expected)
 
     def test_grouped_default_matches_add_at_loop(self):
+        """One block: the users are privatised in group order (a stable
+        sort), and each report lands in its group's row."""
         rng = np.random.default_rng(3)
         groups = rng.integers(0, 4, size=1200)
         values = rng.integers(0, 10, size=1200)
@@ -151,9 +154,10 @@ class TestSerialDefault:
             OptimizedUnaryEncoding(1.0, 10, rng=11), groups, values, 4
         )
         oracle = OptimizedUnaryEncoding(1.0, 10, rng=11)
+        order = np.argsort(groups, kind="stable")
         expected = np.zeros((4, 10), dtype=np.int64)
         np.add.at(
-            expected, groups, np.asarray(oracle.privatize_many(values))
+            expected, groups[order], oracle.privatize_many(values[order])
         )
         np.testing.assert_array_equal(got, expected)
 
@@ -209,6 +213,91 @@ class TestPooledExecution:
             _Recording(1.0, 24, rng=21), values, block_elements=1024, threads=4
         )
         assert seen_threads == {threading.current_thread().name}
+
+
+class TestBitWorkspace:
+    """Unary blocks privatise into a per-thread buffer that outlives the
+    call; threads running at once must never see each other's bits."""
+
+    def test_buffer_is_reused_across_calls_and_per_thread(self):
+        first = engine._bit_workspace(100, 16)
+        again = engine._bit_workspace(50, 16)
+        assert np.shares_memory(first, again)
+        seen = []
+        worker = threading.Thread(
+            target=lambda: seen.append(engine._bit_workspace(100, 16))
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert not np.shares_memory(seen[0], first)
+
+    def test_pooled_unary_blocks_match_serial_blocks(self, monkeypatch):
+        """Pool threads each privatise into their own buffer, so the
+        pooled run equals the one-thread run of the same split streams."""
+        values = _values(6000)
+        groups = np.random.default_rng(4).integers(0, 5, size=values.size)
+        reference = (
+            batch_support(
+                OptimizedUnaryEncoding(1.0, 24, rng=3), values,
+                block_elements=2048, threads=1,
+            ),
+            grouped_batch_support(
+                OptimizedUnaryEncoding(1.0, 24, rng=3), groups, values, 5,
+                block_elements=2048, threads=1,
+            ),
+        )
+        fake = KernelBackend(name="fake", gil_free=True, kernels={})
+        monkeypatch.setattr(engine, "active_backend", lambda: fake)
+        pooled = (
+            batch_support(
+                OptimizedUnaryEncoding(1.0, 24, rng=3), values,
+                block_elements=2048, threads=4,
+            ),
+            grouped_batch_support(
+                OptimizedUnaryEncoding(1.0, 24, rng=3), groups, values, 5,
+                block_elements=2048, threads=4,
+            ),
+        )
+        for got, want in zip(pooled, reference):
+            np.testing.assert_array_equal(got, want)
+
+    def test_concurrent_sessions_match_their_serial_runs(self):
+        """More threads than cores, switching often: each seeded PTS and
+        PTS-CP session ends exactly where it ends when run alone."""
+        from repro.stream import make_session
+
+        def run(index, out):
+            name = ("pts", "pts-cp")[index % 2]
+            session = make_session(name, 1.0, 4, 40, mode="protocol", rng=index)
+            rng = np.random.default_rng(50 + index)
+            for _ in range(6):
+                session.ingest_batch(
+                    rng.integers(0, 4, 3000), rng.integers(0, 40, 3000)
+                )
+            out[index] = session.estimate()
+
+        serial = {}
+        for index in range(6):
+            run(index, serial)
+        concurrent = {}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=run, args=(index, concurrent))
+                for index in range(6)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(concurrent) == sorted(serial)
+        for index in serial:
+            np.testing.assert_array_equal(concurrent[index], serial[index])
 
 
 class TestThreadResolution:
