@@ -48,11 +48,6 @@ class AdaptiveMechanism(FrequencyOracle):
         """Name of the delegated oracle."""
         return self._inner.name
 
-    def with_rng(self, rng):
-        clone = super().with_rng(rng)
-        clone._inner = self._inner.with_rng(clone.rng)
-        return clone
-
     @property
     def p(self) -> float:
         return self._inner.p

@@ -38,7 +38,6 @@ per-user communication cost in bits so that the complexity experiments
 from __future__ import annotations
 
 import abc
-import copy
 import math
 from typing import Iterable, Optional, Sequence, Union
 
@@ -90,20 +89,6 @@ class FrequencyOracle(abc.ABC):
         self.epsilon = check_epsilon(epsilon)
         self.domain_size = check_domain_size(domain_size)
         self.rng = ensure_rng(rng)
-
-    def with_rng(self, rng: RngLike) -> "FrequencyOracle":
-        """A shallow clone of this oracle driven by ``rng``.
-
-        Shared parameters (probabilities, domains) are reused; only the
-        generator is replaced.  The batch engine uses this to give every
-        block of a threaded run its own pre-split random stream
-        (:func:`repro.rng.spawn_seeds`) so results are independent of the
-        thread count.  Oracles that hold sub-mechanisms override this to
-        rebind every internal generator reference.
-        """
-        clone = copy.copy(self)
-        clone.rng = ensure_rng(rng)
-        return clone
 
     # ------------------------------------------------------------------
     # client side

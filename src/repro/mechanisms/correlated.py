@@ -28,7 +28,6 @@ which matches the three coefficients in the paper's Theorem 8 / Eq. (5).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -211,19 +210,6 @@ class CorrelatedPerturbation:
             item_is_valid = False
         bits = self._item_mech.privatize(item if item_is_valid else INVALID_ITEM)
         return (perturbed_label, bits)
-
-    def with_rng(self, rng):
-        """A shallow clone driven by ``rng`` (see
-        :meth:`repro.mechanisms.base.FrequencyOracle.with_rng`).
-
-        Both sub-mechanisms share the parent's generator object, so the
-        clone rebinds all three references to the *same* new generator —
-        preserving the exact draw interleaving of the original."""
-        clone = copy.copy(self)
-        clone.rng = ensure_rng(rng)
-        clone._label_mech = self._label_mech.with_rng(clone.rng)
-        clone._item_mech = self._item_mech.with_rng(clone.rng)
-        return clone
 
     def privatize_many(
         self,

@@ -13,10 +13,9 @@ batch execution engine (:mod:`repro.mechanisms.engine`) slices value
 arrays into bounded blocks and pushes each block through
 ``privatize_many`` → ``aggregate_batch``, both of which bottom out here.
 
-The arithmetic itself lives in the pluggable backend registry
-(:mod:`repro.mechanisms.backends`): the wrappers here validate and
-instrument, then dispatch to whichever implementation — the NumPy
-reference or a compiled ``nogil`` variant — is active for the process.
+The arithmetic itself lives in
+:mod:`repro.mechanisms.backends.numpy_backend`: the wrappers here
+validate and instrument, then call it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from ..exceptions import AggregationError
 from ..obs import metrics as _obs
-from .backends import get_kernel
+from .backends import numpy_backend
 from .backends.numpy_backend import byte_lane_sums
 
 
@@ -103,7 +102,7 @@ def categorical_support(reports, domain_size: int, name: str = "categorical") ->
         registry.counter(
             "kernel_support_reports_total", kernel="categorical"
         ).inc(int(arr.size))
-    return get_kernel("categorical_support")(arr, int(domain_size), name)
+    return numpy_backend.categorical_support(arr, int(domain_size), name)
 
 
 def bit_matrix_support(reports, width: int, name: str = "bit-vector") -> np.ndarray:
@@ -161,9 +160,9 @@ def perturb_onehot_batch(
         )
     registry = _obs.get_registry()
     if not registry.enabled:
-        return get_kernel("perturb_onehot")(positions, width, p, q, rng, out)
+        return numpy_backend.perturb_onehot(positions, width, p, q, rng, out)
     registry.histogram(
         "kernel_onehot_rows", buckets=_obs.DEFAULT_COUNT_BUCKETS
     ).observe(positions.size)
     with registry.span("kernel_onehot_seconds"):
-        return get_kernel("perturb_onehot")(positions, width, p, q, rng, out)
+        return numpy_backend.perturb_onehot(positions, width, p, q, rng, out)

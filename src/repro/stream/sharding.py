@@ -6,9 +6,10 @@ anything else exposing ``ingest_batch``, ``merge`` and ``copy`` — and
 fans submitted batches across them round-robin.  Each shard is served by
 its own single-worker thread, so batches bound for one shard execute in
 submission order (keeping per-shard RNG streams deterministic) while
-different shards ingest concurrently — bounded by the GIL outside NumPy
-kernels, and not at all under a GIL-free kernel backend.  ``merged()``
-reduces the partial states with ``merge``.
+different shards ingest concurrently, overlapping wherever NumPy
+releases the GIL.  These shard threads are the library's one
+parallelism layer: the batch engine runs each batch's blocks serially.
+``merged()`` reduces the partial states with ``merge``.
 
 The result is exact in either mode: with seeded sessions,
 ``merged().estimate()`` equals what the same sessions give when fed the

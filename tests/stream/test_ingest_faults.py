@@ -16,7 +16,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.mechanisms.backends import use_backend
 from repro.stream import make_session
 
 RUSAGE_THREAD = getattr(resource, "RUSAGE_THREAD", None)
@@ -56,19 +55,16 @@ def _ingest_and_count_faults(index: int, faults: dict, errors: list) -> None:
 )
 def test_protocol_ingest_threads_stay_off_the_page_fault_path():
     faults, errors = {}, []
-    # The NumPy kernels are the ones that must hold their buffers; the
-    # numba twin of grouped_scatter widens every block to int64.
-    with use_backend("numpy"):
-        workers = [
-            threading.Thread(
-                target=_ingest_and_count_faults, args=(index, faults, errors)
-            )
-            for index in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=120)
+    workers = [
+        threading.Thread(
+            target=_ingest_and_count_faults, args=(index, faults, errors)
+        )
+        for index in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
     assert not any(worker.is_alive() for worker in workers)
     if errors:
         raise errors[0]
