@@ -7,11 +7,9 @@ same hosted PTS session, querying estimates mid-stream over the control
 channel.  A second cohort mines per-class top-k round by round through
 the same collector, driving round advancement from the client side.
 
-The whole run is traced: the clients announce a trace context on their
-HELLOs, the collector links its flush/drain spans under the same trace
-ids, and the script ends by polling the HEALTH verdict and exporting the
-span ring as Chrome trace-event JSON (load ``report_service_trace.json``
-in https://ui.perfetto.dev to see the request path across layers).
+The script ends on the operator's view: the collector's HEALTH verdict,
+graded per session from the collector's own registry (ingest lag,
+backpressure stall, drift rate, flush and query latency).
 
 Run:  python examples/report_service.py
 """
@@ -20,7 +18,6 @@ import asyncio
 
 import numpy as np
 
-from repro.obs import enable_tracing, get_tracer
 from repro.metrics import rmse
 from repro.serve import (
     ReportClient,
@@ -36,7 +33,7 @@ async def monitor_stats(collector: ReportCollector, period: float = 0.1) -> None
 
     A monitor needs no session handshake — ``fetch_stats`` opens a bare
     connection and the collector answers STATS pre-HELLO, reading its
-    own always-exact registry without draining any session's queue.
+    own registry without draining any session's queue.
     """
     while True:
         live = await fetch_stats(collector.host, collector.port)
@@ -129,24 +126,18 @@ async def topk_cohort(collector: ReportCollector) -> None:
 
 
 async def main() -> None:
-    enable_tracing()  # same switch as REPRO_OBS=1
     async with ReportCollector() as collector:
         print(f"collector listening on {collector.host}:{collector.port}")
         await frequency_cohort(collector)
         await topk_cohort(collector)
 
         # The operator's view: a machine-readable verdict with reasons
-        # (the same payload /healthz serves), then the trace export.
+        # (the same payload /healthz serves).
         verdict = await fetch_health(collector.host, collector.port)
         print(f"\nhealth: {verdict['status']}")
         for check in verdict["checks"]:
-            scope = f" [{check['session']}]" if "session" in check else ""
-            print(f"  {check['status']:4s} {check['check']}{scope}: "
-                  f"{check['reason']}")
-    tracer = get_tracer()
-    path = tracer.write_chrome("report_service_trace.json")
-    print(f"\ntrace: {len(tracer.drain_spans())} spans "
-          f"({tracer.ring.dropped} dropped) -> {path}")
+            print(f"  {check['status']:4s} {check['check']} "
+                  f"[{check['session']}]: {check['reason']}")
 
 
 if __name__ == "__main__":

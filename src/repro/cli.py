@@ -1,5 +1,5 @@
 """Command-line entry points: regenerate the paper's tables and figures,
-inspect the telemetry plane, and host the standalone report collector.
+and host the standalone report collector.
 
 Examples::
 
@@ -7,8 +7,6 @@ Examples::
     repro-bench fig7
     repro-bench table3 --scale full --seed 7
     repro-bench all
-    repro-bench obs dump --format=prom   # telemetry snapshot
-    repro-bench obs trace --output trace.json   # Chrome trace export
     python -m repro fig6           # equivalent module form
     repro-serve --port 9009        # standalone collector
     repro-serve --metrics-port 9100 --log-json serve.jsonl
@@ -60,89 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_obs_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench obs",
-        description=(
-            "Inspect the telemetry plane (metrics snapshots, trace rings)."
-        ),
-    )
-    parser.add_argument(
-        "action",
-        choices=("dump", "trace"),
-        help=(
-            "obs action: 'dump' prints a metrics snapshot, 'trace' "
-            "exports this process's span ring as Chrome trace-event JSON "
-            "(load it in Perfetto / chrome://tracing)"
-        ),
-    )
-    parser.add_argument(
-        "--format",
-        choices=("json", "prom"),
-        default="json",
-        help="dump output format: JSON snapshot or Prometheus text",
-    )
-    parser.add_argument(
-        "--input",
-        default=None,
-        help=(
-            "read the snapshot from a file (a registry snapshot, as "
-            "'dump --format=json' prints one) instead of this process's "
-            "live registry"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="trace: write the Chrome trace JSON here instead of stdout",
-    )
-    return parser
-
-
-def obs_main(argv: Sequence[str]) -> int:
-    """``repro-bench obs``: print a metrics snapshot (``dump``) as JSON
-    or Prometheus text, or export the process span ring (``trace``) as
-    Chrome trace-event JSON."""
-    import json
-
-    from .obs import get_registry, get_tracer, render_snapshot
-
-    args = build_obs_parser().parse_args(argv)
-    if args.action == "trace":
-        document = get_tracer().export_chrome()
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
-            print(
-                f"wrote {len(document['traceEvents'])} trace events "
-                f"to {args.output}"
-            )
-        else:
-            print(json.dumps(document, indent=2))
-        return 0
-    if args.input is not None:
-        with open(args.input, encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-        if not isinstance(snapshot, dict) or not (
-            "counters" in snapshot or "histograms" in snapshot
-        ):
-            print(f"{args.input} is not a registry snapshot", file=sys.stderr)
-            return 2
-    else:
-        snapshot = get_registry().snapshot()
-    if args.format == "prom":
-        sys.stdout.write(render_snapshot(snapshot))
-    else:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "obs":
-        return obs_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list or args.experiment is None:
         print("Available experiments:")
@@ -201,8 +117,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "also serve a Prometheus /metrics endpoint on this port "
-            "(enables process-wide telemetry)"
+            "also serve the collector's Prometheus /metrics and its "
+            "/healthz verdict on this port"
         ),
     )
     parser.add_argument(
@@ -241,20 +157,8 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.metrics_port is not None:
             import json as _json
 
-            from .obs import (
-                enable,
-                enable_tracing,
-                get_registry,
-                get_tracer,
-                start_metrics_server,
-            )
+            from .obs import start_metrics_server
             from .obs.http import JSON_CONTENT_TYPE
-
-            # The engine/stream layers record into the process registry;
-            # flip it (and the span ring) on so the ops surface exposes
-            # them next to the collector's always-exact wire counters.
-            enable()
-            enable_tracing()
 
             def healthz_route():
                 verdict = collector.health()
@@ -265,20 +169,16 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 return status, JSON_CONTENT_TYPE, _json.dumps(verdict) + "\n"
 
-            def traces_route():
-                document = get_tracer().export_chrome()
-                return "200 OK", JSON_CONTENT_TYPE, _json.dumps(document) + "\n"
-
             metrics_server = await start_metrics_server(
                 args.host,
                 args.metrics_port,
-                (collector.metrics, get_registry()),
-                routes={"/healthz": healthz_route, "/traces": traces_route},
+                collector.metrics,
+                routes={"/healthz": healthz_route},
             )
             print(
                 "repro-serve: metrics on "
                 f"http://{args.host}:{args.metrics_port}/metrics "
-                "(+ /healthz, /traces)"
+                "(+ /healthz)"
             )
         try:
             await collector.serve_forever()

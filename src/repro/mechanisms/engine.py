@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import nullcontext
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from ..exceptions import AggregationError, ConfigurationError
-from ..obs import metrics as _obs
 from .backends import get_kernel
 from .backends.numpy_backend import group_order
 
@@ -119,36 +117,6 @@ def _privatize(oracle, columns: tuple):
     return _as_bits(oracle.privatize_many(*columns, out=out))
 
 
-_NULL_SPAN = nullcontext()
-
-
-def _telemetry(oracle, n_reports: int):
-    """Per-call engine telemetry handle, or ``None`` while telemetry is off.
-
-    Instruments are fetched from the process registry per *call*, never
-    cached on oracles or sessions — a cached one would outlive a
-    ``clear()`` of the registry and count into a series no snapshot shows.
-    """
-    registry = _obs.get_registry()
-    if not registry.enabled:
-        return None
-    oracle_name = type(oracle).__name__
-    registry.counter("engine_reports_total", oracle=oracle_name).inc(int(n_reports))
-    return (
-        registry.histogram("engine_block_seconds", oracle=oracle_name),
-        registry.counter("engine_blocks_total", oracle=oracle_name),
-    )
-
-
-def _block_span(telemetry):
-    """A timing context for one privatise+aggregate block (no-op when off)."""
-    if telemetry is None:
-        return _NULL_SPAN
-    histogram, blocks = telemetry
-    blocks.inc()
-    return _obs.Span(histogram)
-
-
 def batch_support(
     oracle,
     values: Union[np.ndarray, tuple],
@@ -169,12 +137,10 @@ def batch_support(
     """
     cols = _columns(values)
     width = max(1, int(oracle.communication_bits()))
-    telemetry = _telemetry(oracle, cols[0].size)
     support = None
     for cut in batch_spans(cols[0].size, width, block_elements):
-        with _block_span(telemetry):
-            reports = _privatize(oracle, tuple(col[cut] for col in cols))
-            partial = oracle.aggregate_batch(reports)
+        reports = _privatize(oracle, tuple(col[cut] for col in cols))
+        partial = oracle.aggregate_batch(reports)
         support = partial if support is None else support + partial
     if support is None:  # empty batch: aggregate nothing for typed zeros
         reports = oracle.privatize_many(*(col[:0] for col in cols))
@@ -217,13 +183,10 @@ def grouped_batch_support(
     if groups.size and groups.view(np.uint64).max() >= n_groups:
         raise AggregationError(f"group id outside [0, {n_groups})")
     width = int(oracle.domain_size)
-    telemetry = _telemetry(oracle, values.size)
     scatter = get_kernel("grouped_scatter")
     out = np.zeros((n_groups, width), dtype=np.int64)
     for cut in batch_spans(values.size, width, block_elements):
-        with _block_span(telemetry):
-            order = group_order(groups[cut], n_groups)
-            bits = _privatize(oracle, (values[cut][order],))
-            partial = scatter(groups[cut][order], bits, n_groups)
-        out += partial
+        order = group_order(groups[cut], n_groups)
+        bits = _privatize(oracle, (values[cut][order],))
+        out += scatter(groups[cut][order], bits, n_groups)
     return out

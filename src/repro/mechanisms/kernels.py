@@ -15,7 +15,7 @@ arrays into bounded blocks and pushes each block through
 
 The arithmetic itself lives in
 :mod:`repro.mechanisms.backends.numpy_backend`: the wrappers here
-validate and instrument, then call it.
+validate, then call it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from ..exceptions import AggregationError
-from ..obs import metrics as _obs
 from .backends import numpy_backend
 from .backends.numpy_backend import byte_lane_sums
 
@@ -97,11 +96,6 @@ def categorical_support(reports, domain_size: int, name: str = "categorical") ->
     :class:`~repro.exceptions.AggregationError` either way.
     """
     arr = as_report_array(reports, name)
-    registry = _obs.get_registry()
-    if registry.enabled:
-        registry.counter(
-            "kernel_support_reports_total", kernel="categorical"
-        ).inc(int(arr.size))
     return numpy_backend.categorical_support(arr, int(domain_size), name)
 
 
@@ -110,11 +104,6 @@ def bit_matrix_support(reports, width: int, name: str = "bit-vector") -> np.ndar
     folded eight bits per add by
     :func:`~repro.mechanisms.backends.numpy_backend.byte_lane_sums`."""
     bits = as_bit_matrix(reports, width, name)
-    registry = _obs.get_registry()
-    if registry.enabled:
-        registry.counter(
-            "kernel_support_reports_total", kernel="bit_matrix"
-        ).inc(int(bits.shape[0]))
     return byte_lane_sums(bits, (0, bits.shape[0]))[0]
 
 
@@ -158,11 +147,4 @@ def perturb_onehot_batch(
         raise ValueError(
             f"out must be a C-contiguous ({positions.size}, {width}) bool array"
         )
-    registry = _obs.get_registry()
-    if not registry.enabled:
-        return numpy_backend.perturb_onehot(positions, width, p, q, rng, out)
-    registry.histogram(
-        "kernel_onehot_rows", buckets=_obs.DEFAULT_COUNT_BUCKETS
-    ).observe(positions.size)
-    with registry.span("kernel_onehot_seconds"):
-        return numpy_backend.perturb_onehot(positions, width, p, q, rng, out)
+    return numpy_backend.perturb_onehot(positions, width, p, q, rng, out)

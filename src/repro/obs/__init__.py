@@ -1,24 +1,17 @@
-"""Unified telemetry plane: metrics, spans, traces, health, exposition.
+"""Telemetry: one metrics registry, health verdicts, logs, exposition.
 
-Dependency-free observability for the whole stack.  One process-wide
-:class:`MetricsRegistry` holds counters, gauges, and fixed-bucket
-histograms; instruments are no-ops while the registry is disabled (the
-default — flip with ``REPRO_OBS=1``, :func:`enable`, or the
-:class:`enabled` context manager).  :func:`span` times a block against a
-histogram, :func:`log_event` emits newline-delimited JSON records, and
-the :mod:`~repro.obs.prom` / :mod:`~repro.obs.http` modules render the
-registry as Prometheus text (``repro obs dump``, ``/metrics``).
+Dependency-free observability for the serve plane.  The report collector
+owns the one :class:`MetricsRegistry` (counters, gauges, fixed-bucket
+histograms; :attr:`repro.serve.ReportCollector.metrics`), and everything
+here reads it:
 
-Two further planes build on the same switch:
-
-* :mod:`~repro.obs.trace` — end-to-end request tracing: a
-  :class:`TraceContext` propagated client → wire → collector → shard
-  workers, completed spans in a bounded ring on the process
-  :class:`Tracer`, exported as Chrome trace-event JSON
-  (``repro-bench obs trace``, ``/traces``).
+* :mod:`~repro.obs.prom` / :mod:`~repro.obs.http` render it as
+  Prometheus text (``/metrics``) and serve ``/healthz``;
 * :mod:`~repro.obs.health` — verdicts: :func:`evaluate_health` turns
   session ingest stats plus a registry snapshot into machine-readable
-  pass/warn/fail with reasons (``/healthz`` and the HEALTH wire query).
+  pass/warn/fail with reasons (``/healthz`` and the HEALTH wire query);
+* :func:`log_event` emits newline-delimited JSON records
+  (``repro-serve --log-json``).
 """
 
 from .log import JsonLogger, configure_logging, get_logger, log_event
@@ -31,13 +24,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     Span,
-    disable,
-    enable,
-    enabled,
-    get_registry,
-    merge_snapshots,
     series_key,
-    span,
 )
 from .prom import render, render_snapshot, write_snapshot
 from .http import start_http_server, start_metrics_server
@@ -47,17 +34,6 @@ from .health import (
     HealthPolicy,
     evaluate_health,
     histogram_quantile,
-)
-from .trace import (
-    SpanRing,
-    TraceContext,
-    Tracer,
-    chrome_trace,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    trace_span,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -70,12 +46,6 @@ __all__ = [
     "Histogram",
     "Span",
     "series_key",
-    "get_registry",
-    "enable",
-    "disable",
-    "enabled",
-    "span",
-    "merge_snapshots",
     "render",
     "render_snapshot",
     "write_snapshot",
@@ -86,15 +56,6 @@ __all__ = [
     "HealthMonitor",
     "evaluate_health",
     "histogram_quantile",
-    "TraceContext",
-    "Tracer",
-    "SpanRing",
-    "chrome_trace",
-    "get_tracer",
-    "enable_tracing",
-    "disable_tracing",
-    "trace_span",
-    "tracing_enabled",
     "JsonLogger",
     "get_logger",
     "configure_logging",

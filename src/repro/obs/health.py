@@ -11,12 +11,16 @@ snapshot into one machine-readable payload::
                  "reason": "160083 pending of 262144 high water"}, ...],
      "schema": 1}
 
-Checks cover per-session ingest lag (pending vs the backpressure high
-water), backpressure stall time, drift-event rate, shard imbalance, and
-flush/drain latency percentiles (computed from the registry's own bucket
-counts — no extra instrumentation).  The overall ``status`` is the worst
-individual check; every non-pass check carries its reason, so ``fail``
-is always attributable.
+Every check grades one session: its ingest lag (pending vs the
+backpressure high water), backpressure stall time, drift-event rate, and
+two latency percentiles computed from the registry's own bucket counts —
+the ring flush copy (``serve_flush_seconds``) and the query, which
+drains every shard before it answers (``serve_query_seconds``).  Each
+session's series are looked up by their exact
+:func:`~repro.obs.metrics.series_key`, so any session id attributes
+correctly.  The overall ``status`` is the worst individual check; every
+non-pass check carries its reason, so ``fail`` is always
+attributable.
 
 :class:`HealthMonitor` adds the small amount of state rate checks need
 (drift events are judged per evaluation window, not cumulatively) and is
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .metrics import series_key
 
 #: Version of the health payload layout.
 HEALTH_SCHEMA = 1
@@ -65,10 +71,9 @@ class HealthPolicy:
     #: Drift events flagged since the previous evaluation.
     drift_warn: Optional[int] = 1
     drift_fail: Optional[int] = 10
-    #: Shard imbalance in batches (max - min across shards).
-    imbalance_warn: Optional[float] = 64
-    imbalance_fail: Optional[float] = 1024
-    #: Flush/drain latency percentile bound in seconds.
+    #: Latency percentile bound in seconds, for the flush copy
+    #: (``flush_latency``) and the drain plus answer of a query
+    #: (``query_latency``).
     flush_quantile: float = 0.99
     flush_warn: Optional[float] = 1.0
     flush_fail: Optional[float] = 10.0
@@ -111,45 +116,28 @@ def histogram_quantile(state: dict, q: float) -> float:
     return float(lower)
 
 
-def _parse_series(key: str) -> tuple[str, dict]:
-    """``(family, labels)`` of a snapshot series key.
+#: ``(check, histogram family)`` of the per-session latency checks.
+_LATENCY_CHECKS = (
+    ("flush_latency", "serve_flush_seconds"),
+    ("query_latency", "serve_query_seconds"),
+)
 
-    The inverse of :func:`repro.obs.metrics.series_key` for the label
-    shapes this library emits (no embedded commas/quotes in values
-    beyond the escaping that function applies).
-    """
-    brace = key.find("{")
-    if brace < 0:
-        return key, {}
-    family, body = key[:brace], key[brace + 1 : -1]
-    labels = {}
-    for part in body.split(","):
-        if "=" not in part:
-            continue
-        name, _, value = part.partition("=")
-        value = value.strip('"')
-        labels[name] = (
-            value.replace(r"\n", "\n").replace(r"\"", '"').replace(r"\\", "\\")
-        )
-    return family, labels
+
+def _series(section: dict, family: str, session: str):
+    """A snapshot section's ``family{session="..."}`` entry, or ``None``."""
+    return section.get(series_key(family, {"session": session}))
 
 
 def _check(
-    check: str,
-    status: str,
-    value: float,
-    reason: str,
-    session: Optional[str] = None,
+    check: str, status: str, value: float, reason: str, session: str
 ) -> dict:
-    entry = {
+    return {
         "check": check,
         "status": status,
         "value": value,
         "reason": reason,
+        "session": session,
     }
-    if session is not None:
-        entry["session"] = session
-    return entry
 
 
 def evaluate_health(
@@ -162,8 +150,8 @@ def evaluate_health(
 
     ``sessions`` are :meth:`repro.serve.registry.HostedSession.ingest_stats`
     payloads (or anything shaped like them); ``snapshot`` is a metrics
-    registry snapshot supplying the drift counters, imbalance gauge, and
-    flush latency histograms.  ``drift_baseline`` maps session id to the
+    registry snapshot supplying each session's drift counter and latency
+    histograms.  ``drift_baseline`` maps session id to the
     drift-event count already judged (the :class:`HealthMonitor` window
     state); cumulative counts are used when absent.
     """
@@ -171,6 +159,9 @@ def evaluate_health(
     snapshot = snapshot or {}
     drift_baseline = drift_baseline or {}
     checks: list[dict] = []
+
+    counters = snapshot.get("counters", {})
+    histograms = snapshot.get("histograms", {})
 
     for stats in sessions:
         session = str(stats.get("session", "?"))
@@ -198,58 +189,33 @@ def evaluate_health(
                 session=session,
             )
         )
-
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    histograms = snapshot.get("histograms", {})
-
-    for key, value in counters.items():
-        family, labels = _parse_series(key)
-        if family != "serve_drift_events_total":
-            continue
-        session = labels.get("session", "?")
-        fresh = int(value) - int(drift_baseline.get(session, 0))
-        checks.append(
-            _check(
-                "drift_rate",
-                policy.grade(fresh, policy.drift_warn, policy.drift_fail),
-                fresh,
-                f"{fresh} drift event(s) this window "
-                f"({int(value)} total)",
-                session=session,
+        total = _series(counters, "serve_drift_events_total", session)
+        if total is not None:
+            fresh = int(total) - int(drift_baseline.get(session, 0))
+            checks.append(
+                _check(
+                    "drift_rate",
+                    policy.grade(fresh, policy.drift_warn, policy.drift_fail),
+                    fresh,
+                    f"{fresh} drift event(s) this window ({int(total)} total)",
+                    session=session,
+                )
             )
-        )
-
-    imbalance = gauges.get("shard_imbalance_batches")
-    if imbalance is not None:
-        checks.append(
-            _check(
-                "shard_imbalance",
-                policy.grade(
-                    float(imbalance), policy.imbalance_warn, policy.imbalance_fail
-                ),
-                float(imbalance),
-                f"max-min shard skew of {imbalance:g} batches",
+        for check, family in _LATENCY_CHECKS:
+            state = _series(histograms, family, session)
+            if state is None or not sum(state.get("counts", ())):
+                continue
+            quantile = histogram_quantile(state, policy.flush_quantile)
+            checks.append(
+                _check(
+                    check,
+                    policy.grade(quantile, policy.flush_warn, policy.flush_fail),
+                    round(quantile, 6),
+                    f"{family} p{int(policy.flush_quantile * 100)} "
+                    f"~{quantile:.4f}s",
+                    session=session,
+                )
             )
-        )
-
-    for key, state in histograms.items():
-        family, labels = _parse_series(key)
-        if family not in ("serve_flush_sort_seconds", "shard_drain_seconds"):
-            continue
-        if not sum(state.get("counts", ())):
-            continue
-        quantile = histogram_quantile(state, policy.flush_quantile)
-        checks.append(
-            _check(
-                "flush_latency",
-                policy.grade(quantile, policy.flush_warn, policy.flush_fail),
-                round(quantile, 6),
-                f"{family} p{int(policy.flush_quantile * 100)} "
-                f"~{quantile:.4f}s",
-                session=labels.get("session"),
-            )
-        )
 
     return {
         "schema": HEALTH_SCHEMA,
@@ -274,6 +240,7 @@ class HealthMonitor:
     def evaluate(
         self, sessions: Iterable[dict], snapshot: Optional[dict] = None
     ) -> dict:
+        sessions = list(sessions)
         snapshot = snapshot or {}
         verdict = evaluate_health(
             sessions,
@@ -281,9 +248,11 @@ class HealthMonitor:
             policy=self.policy,
             drift_baseline=self._drift_seen,
         )
-        for key, value in snapshot.get("counters", {}).items():
-            family, labels = _parse_series(key)
-            if family == "serve_drift_events_total":
-                self._drift_seen[labels.get("session", "?")] = int(value)
+        counters = snapshot.get("counters", {})
+        for stats in sessions:
+            session = str(stats.get("session", "?"))
+            total = _series(counters, "serve_drift_events_total", session)
+            if total is not None:
+                self._drift_seen[session] = int(total)
         self.last = verdict
         return verdict

@@ -2,13 +2,12 @@
 
 ``repro-serve`` mounts this next to the report collector: one
 ``asyncio.start_server`` loop answering ``GET`` requests off a small
-route table — ``/metrics`` (Prometheus text), ``/healthz``
-(machine-readable pass/warn/fail), ``/traces`` (Chrome trace-event
-JSON).  It speaks just enough HTTP/1.0 for ``curl``, a Prometheus
-scraper, and a load-balancer probe — request line plus headers in, one
-fixed response out, connection closed — and deliberately nothing more
-(no keep-alive, no chunking, no TLS), so the serving path stays
-dependency-free.
+route table — ``/metrics`` (Prometheus text) and ``/healthz``
+(machine-readable pass/warn/fail).  It speaks just enough HTTP/1.0 for
+``curl``, a Prometheus scraper, and a load-balancer probe — request line
+plus headers in, one fixed response out, connection closed — and
+deliberately nothing more (no keep-alive, no chunking, no TLS), so the
+serving path stays dependency-free.
 
 Malformed input gets an explicit status, never a silent close: a bad
 request line is ``400``, an oversized request is ``413``, an unknown
@@ -17,14 +16,14 @@ is ``500`` — probes and scrapers see a diagnosable response either way.
 
 Routes are callables returning ``(status, content_type, body)``; sync or
 async both work.  :func:`start_metrics_server` builds the conventional
-table from registries (plus any extra routes the caller mounts).
+table from a registry (plus any extra routes the caller mounts).
 """
 
 from __future__ import annotations
 
 import asyncio
 import inspect
-from typing import Awaitable, Callable, Iterable, Mapping, Optional, Union
+from typing import Awaitable, Callable, Mapping, Optional, Union
 
 from . import prom
 from .metrics import MetricsRegistry
@@ -135,22 +134,20 @@ async def start_http_server(
 async def start_metrics_server(
     host: str,
     port: int,
-    registries: Iterable[MetricsRegistry],
+    registry: MetricsRegistry,
     *,
     render: Optional[Callable[[], str]] = None,
     routes: Optional[Mapping[str, Route]] = None,
 ) -> asyncio.AbstractServer:
-    """Serve ``GET /metrics`` for ``registries`` on ``host:port``.
+    """Serve ``GET /metrics`` for ``registry`` on ``host:port``.
 
-    ``render`` overrides the default merged-registry Prometheus renderer
-    (used by tests and by callers that add derived series); ``routes``
-    mounts additional paths next to ``/metrics`` (``repro-serve`` adds
-    ``/healthz`` and ``/traces`` this way).  Returns the listening
+    ``render`` overrides the default Prometheus renderer of the
+    registry; ``routes`` mounts additional paths next to ``/metrics``
+    (``repro-serve`` adds ``/healthz`` this way).  Returns the listening
     server; the caller owns its lifetime.
     """
-    registries = tuple(registries)
     if render is None:
-        render = lambda: prom.render(*registries)  # noqa: E731
+        render = lambda: prom.render(registry)  # noqa: E731
 
     def metrics_route() -> RouteResult:
         return "200 OK", PROMETHEUS_CONTENT_TYPE, render()

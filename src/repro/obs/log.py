@@ -1,4 +1,4 @@
-"""Structured JSON log records — the tracing half of the telemetry plane.
+"""Structured JSON log records: one process-wide newline-delimited sink.
 
 One process-wide :class:`JsonLogger` emits newline-delimited JSON
 records, each carrying a timestamp, an event name, and whatever context

@@ -6,36 +6,26 @@ Instruments are identified by a metric *name* plus an optional label set
 :meth:`~MetricsRegistry.gauge` and :meth:`~MetricsRegistry.histogram` are
 get-or-create, so call sites never coordinate registration.
 
-Two registries matter in practice:
-
-* the **process-wide default registry** (:func:`get_registry`), *disabled
-  by default* — the engine, kernel, and stream layers record into it, and
-  a disabled registry turns every ``inc``/``set``/``observe`` into a
-  constant-time no-op, so instrumented hot paths cost nothing beyond a
-  branch until someone calls :func:`enable` (or sets ``REPRO_OBS=1``);
-* per-component registries (the serve collector owns an always-enabled
-  one) whose counters must stay exact regardless of the global switch —
-  the ``STATS`` wire frame reconciles against them.
+The library has one registry in use: the serve collector's
+(:attr:`repro.serve.ReportCollector.metrics`), which the ``STATS`` wire
+frame, the HEALTH verdict and ``/metrics`` all read.  It always records.
 
 All mutations take one registry-wide lock, so a concurrent
 :meth:`~MetricsRegistry.snapshot` is a consistent cut: counters
-incremented from shard worker threads sum exactly, never torn.  The
+incremented from worker threads sum exactly, never torn.  The
 per-operation cost is one lock acquisition — instruments are updated per
-*batch*, never per report, on every hot path in this library.
+*batch*, never per report.
 
-:func:`span` times a block of code (always, cheaply) and records the
-duration into a registry histogram when the registry is enabled — the
-single timing primitive shared by runtime telemetry and the bench
-harness, so both read off one code path.
+:class:`Span` times a block of code into a histogram.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import Optional, Sequence, Union
 
 #: Snapshot schema version (bumped when the layout changes).
 SNAPSHOT_SCHEMA = 1
@@ -90,8 +80,6 @@ class Counter:
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
-        if not self._registry._enabled:
-            return
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         with self._registry._lock:
@@ -115,14 +103,10 @@ class Gauge:
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        if not self._registry._enabled:
-            return
         with self._registry._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._registry._enabled:
-            return
         with self._registry._lock:
             self._value += amount
 
@@ -166,8 +150,6 @@ class Histogram:
         self._count = 0
 
     def observe(self, value: float) -> None:
-        if not self._registry._enabled:
-            return
         value = float(value)
         index = bisect_left(self.edges, value)
         with self._registry._lock:
@@ -197,17 +179,12 @@ class Histogram:
 
 
 class Span:
-    """A timing context: always measures, records only when enabled.
+    """A timing context: observes the block's wall-clock duration in
+    seconds into ``histogram`` on exit."""
 
-    ``elapsed`` holds the wall-clock duration in seconds after exit, so
-    benches read their timings from the exact object that feeds the
-    runtime histogram — one timing code path for both.
-    """
+    __slots__ = ("_histogram", "_start")
 
-    __slots__ = ("elapsed", "_histogram", "_start")
-
-    def __init__(self, histogram: Optional[Histogram]) -> None:
-        self.elapsed = 0.0
+    def __init__(self, histogram: Histogram) -> None:
         self._histogram = histogram
         self._start = 0.0
 
@@ -216,38 +193,18 @@ class Span:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        if self._histogram is not None:
-            self._histogram.observe(self.elapsed)
+        self._histogram.observe(time.perf_counter() - self._start)
 
 
 class MetricsRegistry:
     """A concurrent get-or-create registry of named instruments."""
 
-    def __init__(self, enabled: bool = False) -> None:
-        self._enabled = bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._metrics: dict[str, object] = {}
         # (cls, name, labels-items) -> instrument; skips series_key
-        # formatting on repeat fetches — hot paths fetch per call (sessions
-        # and oracles never cache instruments), so this lookup is the fast
-        # path.
+        # formatting on repeat fetches.
         self._fetch_memo: dict[tuple, object] = {}
-
-    # ------------------------------------------------------------------
-    # the on/off switch
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def enable(self) -> "MetricsRegistry":
-        self._enabled = True
-        return self
-
-    def disable(self) -> "MetricsRegistry":
-        self._enabled = False
-        return self
 
     # ------------------------------------------------------------------
     # instrument factories (get-or-create)
@@ -286,15 +243,6 @@ class MetricsRegistry:
     ) -> Histogram:
         edges = DEFAULT_TIME_BUCKETS if buckets is None else buckets
         return self._instrument(Histogram, name, labels, edges=edges)
-
-    def span(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        **labels: LabelValue,
-    ) -> Span:
-        """A :class:`Span` recording into the ``name`` histogram."""
-        return Span(self.histogram(name, buckets=buckets, **labels))
 
     # ------------------------------------------------------------------
     # read-out
@@ -345,81 +293,15 @@ class MetricsRegistry:
             return len(self._metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MetricsRegistry(enabled={self._enabled}, "
-            f"metrics={len(self)})"
-        )
+        return f"MetricsRegistry(metrics={len(self)})"
 
 
-#: The process-wide default registry; disabled unless REPRO_OBS is set.
-_REGISTRY = MetricsRegistry(
-    enabled=os.environ.get("REPRO_OBS", "") not in ("", "0")
-)
+def get_registry() -> SimpleNamespace:
+    """An object whose ``enabled`` is always False.
 
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (engine/stream layers record here)."""
-    return _REGISTRY
-
-
-def enable() -> MetricsRegistry:
-    """Switch the process-wide registry on; returns it."""
-    return _REGISTRY.enable()
-
-
-def disable() -> MetricsRegistry:
-    """Switch the process-wide registry off; returns it."""
-    return _REGISTRY.disable()
-
-
-def span(
-    name: str,
-    registry: Optional[MetricsRegistry] = None,
-    buckets: Optional[Sequence[float]] = None,
-    **labels: LabelValue,
-) -> Span:
-    """A timing context on ``registry`` (default: the process registry).
-
-    Always measures (``span(...).elapsed`` works with telemetry off);
-    records into the named histogram only when the registry is enabled.
+    The library has no process-wide registry.  This name is kept only
+    because ``perfbench/run.py`` reads ``get_registry().enabled`` and
+    refuses to take end-to-end numbers while it is True, until perfbench
+    tolerates its absence.
     """
-    target = _REGISTRY if registry is None else registry
-    return target.span(name, buckets=buckets, **labels)
-
-
-class enabled:
-    """Context manager: enable a registry for a scope, restore on exit.
-
-    Captures runtime metrics for one run (or test) without leaving the
-    process-wide registry switched on afterwards.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = _REGISTRY if registry is None else registry
-        self._was_enabled = False
-
-    def __enter__(self) -> MetricsRegistry:
-        self._was_enabled = self._registry.enabled
-        self._registry.enable()
-        return self._registry
-
-    def __exit__(self, *exc_info) -> None:
-        if not self._was_enabled:
-            self._registry.disable()
-
-
-def merge_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Combine several registry snapshots into one (later keys win on the
-    rare collision; scopes use distinct metric names by convention)."""
-    merged = {
-        "schema": SNAPSHOT_SCHEMA,
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-    }
-    for snapshot in snapshots:
-        for section in ("counters", "gauges", "histograms"):
-            merged[section].update(snapshot.get(section, {}))
-    for section in ("counters", "gauges", "histograms"):
-        merged[section] = dict(sorted(merged[section].items()))
-    return merged
+    return SimpleNamespace(enabled=False)

@@ -1,14 +1,13 @@
 """Prometheus text-format rendering of registry snapshots.
 
-Renders the exposition format (``text/plain; version=0.0.4``) from one or
-more :class:`~repro.obs.metrics.MetricsRegistry` snapshots: ``# TYPE``
-headers per metric family, counters and gauges as plain samples, and
-histograms expanded into cumulative ``_bucket{le=...}`` series plus
-``_sum`` / ``_count``.  Snapshot keys are already Prometheus series
-strings (see :func:`repro.obs.metrics.series_key`), so rendering is a
-pure reformatting — the same function backs the ``/metrics`` HTTP
-endpoint, the ``repro obs dump --format=prom`` CLI, and the snapshot
-writer used by CI.
+Renders the exposition format (``text/plain; version=0.0.4``) from a
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot: ``# TYPE`` headers
+per metric family, counters and gauges as plain samples, and histograms
+expanded into cumulative ``_bucket{le=...}`` series plus ``_sum`` /
+``_count``.  Snapshot keys are already Prometheus series strings (see
+:func:`repro.obs.metrics.series_key`), so rendering is a pure
+reformatting — the same function backs the ``/metrics`` HTTP endpoint
+and the snapshot writer used by CI.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from .metrics import MetricsRegistry, merge_snapshots
+from .metrics import MetricsRegistry
 
 
 def _family(series: str) -> str:
@@ -47,7 +46,7 @@ def _format_value(value: float) -> str:
 
 
 def render_snapshot(snapshot: dict) -> str:
-    """The Prometheus text exposition of one (possibly merged) snapshot."""
+    """The Prometheus text exposition of one registry snapshot."""
     lines: list[str] = []
     seen_types: set[str] = set()
 
@@ -80,17 +79,13 @@ def render_snapshot(snapshot: dict) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render(*registries: MetricsRegistry) -> str:
-    """Render the merged snapshot of one or more live registries."""
-    return render_snapshot(
-        merge_snapshots(registry.snapshot() for registry in registries)
-    )
+def render(registry: MetricsRegistry) -> str:
+    """Render a live registry's snapshot."""
+    return render_snapshot(registry.snapshot())
 
 
-def write_snapshot(
-    path: Union[str, Path], *registries: MetricsRegistry
-) -> Path:
-    """Write the merged Prometheus text of ``registries`` to ``path``."""
+def write_snapshot(path: Union[str, Path], registry: MetricsRegistry) -> Path:
+    """Write the Prometheus text of ``registry`` to ``path``."""
     path = Path(path)
-    path.write_text(render(*registries))
+    path.write_text(render(registry))
     return path

@@ -14,12 +14,11 @@ configurable connection count and chunking.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Optional
 
 import numpy as np
 
-from ..obs import trace as _trace
-from ..obs.metrics import span as obs_span
 from . import protocol
 from .protocol import ServeError
 
@@ -47,11 +46,6 @@ class ReportClient:
         self.session_id = config["session"]
         #: The collector's handshake reply (``created`` flag, kind).
         self.hello = hello
-        #: The connection's root trace context — set when tracing was
-        #: live at :meth:`connect` time, announced to the collector on
-        #: the HELLO so server-side flush/drain/shard spans share its
-        #: trace id.  ``None`` keeps every client path span-free.
-        self.trace: Optional[_trace.TraceContext] = None
         self._closed = False
 
     @classmethod
@@ -62,32 +56,16 @@ class ReportClient:
         ``kind="topk"``, ``epsilon``, ``n_classes``, ``n_items``, optional
         ``mode`` / ``seed`` / ``shards`` / decay knobs or a sliding
         ``window``); ``None`` values are elided so server defaults apply.
-
-        When tracing is enabled (``REPRO_OBS=1`` or
-        :func:`repro.obs.enable_tracing`) the connection mints a root
-        :class:`~repro.obs.trace.TraceContext` and announces it in the
-        HELLO's advisory ``trace`` field; the collector links its
-        ingest, flush, and shard-worker spans under the same trace id.
         """
-        ctx = (
-            _trace.TraceContext.root()
-            if _trace.get_tracer().enabled
-            else None
-        )
-        hello = dict(config)
-        if ctx is not None:
-            hello["trace"] = ctx.to_wire()
         reader, writer = await asyncio.open_connection(host, port)
         try:
             reply = await protocol.request(
-                reader, writer, protocol.hello_frame(hello)
+                reader, writer, protocol.hello_frame(config)
             )
         except BaseException:
             writer.close()
             raise
-        client = cls(reader, writer, config, reply["result"])
-        client.trace = ctx
-        return client
+        return cls(reader, writer, config, reply["result"])
 
     # ------------------------------------------------------------------
     # streaming
@@ -104,16 +82,9 @@ class ReportClient:
         and conversion copy entirely.
         """
         labels, items = protocol.as_report_columns(labels, items)
-        with _trace.get_tracer().span(
-            "client.send",
-            self.trace,
-            cat="client",
-            session=self.session_id,
-            reports=int(labels.size),
-        ):
-            for payload in self._encoder.pack(labels, items, chunk_size):
-                self._writer.write(payload)
-                await self._writer.drain()
+        for payload in self._encoder.pack(labels, items, chunk_size):
+            self._writer.write(payload)
+            await self._writer.drain()
         return int(labels.size)
 
     async def send_one(self, label: int, item: int) -> None:
@@ -124,25 +95,10 @@ class ReportClient:
     # control channel
     # ------------------------------------------------------------------
     async def query(self, query: str, **params):
-        """Raw control query; returns the reply's ``result`` field.
-
-        On a traced connection the query frame carries a child trace
-        annotation and the round-trip records a ``client.query`` span,
-        so server-side query spans parent under this request.
-        """
-        span = _trace.get_tracer().span(
-            "client.query",
-            self.trace,
-            cat="client",
-            session=self.session_id,
-            query=query,
+        """Raw control query; returns the reply's ``result`` field."""
+        reply = await protocol.request(
+            self._reader, self._writer, protocol.query_frame(query, **params)
         )
-        with span:
-            if span.ctx is not None:
-                params = dict(params, trace=span.ctx.to_wire())
-            reply = await protocol.request(
-                self._reader, self._writer, protocol.query_frame(query, **params)
-            )
         return reply["result"]
 
     async def estimate(self) -> np.ndarray:
@@ -271,11 +227,9 @@ async def generate_load(
             raise
         return await client.close()
 
-    with obs_span("client_load_seconds") as timer:
-        ingested = await asyncio.gather(
-            *(one_connection(part) for part in slices)
-        )
-    elapsed = timer.elapsed
+    began = time.perf_counter()
+    ingested = await asyncio.gather(*(one_connection(part) for part in slices))
+    elapsed = time.perf_counter() - began
     total = int(sum(ingested))
     if total != labels.size:
         raise ServeError(

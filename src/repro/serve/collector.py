@@ -33,7 +33,6 @@ import asyncio
 from typing import Optional
 
 from ..exceptions import ReproError
-from ..obs import trace as _trace
 from ..obs.health import HealthMonitor, HealthPolicy
 from ..obs.log import log_event
 from ..obs.metrics import MetricsRegistry
@@ -47,29 +46,24 @@ class ReportCollector:
 
     Parameters
     ----------
-    registry:
-        The session registry to host; a fresh one is built from the
-        keyword defaults when omitted.
     host / port:
         Bind address; port ``0`` (default) lets the OS pick — read the
         bound address back from :attr:`host` / :attr:`port` after
         :meth:`start`.
     flush_interval:
         Period of the background buffer sweep in seconds.
-    default_shards / flush_reports / high_water / record:
-        Registry defaults when ``registry`` is omitted (see
+    default_shards / flush_reports / high_water / record / max_sessions:
+        Defaults of the hosted sessions (see
         :class:`~repro.serve.registry.SessionRegistry`).
-    metrics:
-        The collector's telemetry registry.  Defaults to a private
-        *always-enabled* :class:`~repro.obs.metrics.MetricsRegistry` —
-        the STATS frame and ``/metrics`` endpoint reconcile against it,
-        so it stays exact regardless of the process-wide telemetry
-        switch.
+
+    The collector owns the library's one
+    :class:`~repro.obs.metrics.MetricsRegistry`, :attr:`metrics`: its
+    hosted sessions record into it, and the STATS frame, the HEALTH
+    verdict and ``/metrics`` all read it.
     """
 
     def __init__(
         self,
-        registry: Optional[SessionRegistry] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         flush_interval: float = 0.05,
@@ -78,29 +72,21 @@ class ReportCollector:
         high_water: int = 262_144,
         record: bool = False,
         max_sessions: int = 256,
-        metrics: Optional[MetricsRegistry] = None,
         health_policy: Optional[HealthPolicy] = None,
     ) -> None:
         if flush_interval <= 0:
             raise ServeError(
                 f"flush_interval must be positive, got {flush_interval!r}"
             )
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            enabled=True
+        self.metrics = MetricsRegistry()
+        self.registry = SessionRegistry(
+            self.metrics,
+            default_shards=default_shards,
+            flush_reports=flush_reports,
+            high_water=high_water,
+            record=record,
+            max_sessions=max_sessions,
         )
-        if registry is not None:
-            self.registry = registry
-            if self.registry.metrics is None:
-                self.registry.metrics = self.metrics
-        else:
-            self.registry = SessionRegistry(
-                default_shards=default_shards,
-                flush_reports=flush_reports,
-                high_water=high_water,
-                record=record,
-                max_sessions=max_sessions,
-                metrics=self.metrics,
-            )
         self._bind_host = host
         self._bind_port = port
         self.flush_interval = float(flush_interval)
@@ -240,15 +226,6 @@ class ReportCollector:
         if frame_type != protocol.HELLO:
             raise WireError("connection must open with a HELLO frame")
         hello = protocol.decode_json(body)
-        # The advisory trace announcement rides outside the canonical
-        # session config: pop it before the config equality check, keep
-        # it as this connection's context only while tracing is live
-        # (malformed or absent degrades to untraced, never to an error).
-        ctx = None
-        if isinstance(hello, dict) and "trace" in hello:
-            announced = _trace.TraceContext.from_wire(hello.pop("trace"))
-            if _trace.get_tracer().enabled:
-                ctx = announced
         try:
             hosted, created = self.registry.open(hello)
         except ReproError as error:
@@ -279,19 +256,7 @@ class ReportCollector:
         while True:
             frame_type, body = await self._read_batch(frames, m_reports)
             if frame_type == protocol.REPORTS:
-                if ctx is None:
-                    n = hosted.buffer_frames(body)
-                else:
-                    # Traced connection: one ingest span per coalesced
-                    # run, whose child context the next flush parents on.
-                    with _trace.get_tracer().span(
-                        "collector.ingest",
-                        ctx,
-                        cat="serve",
-                        session=hosted.session_id,
-                        frames=len(body),
-                    ) as ingest_span:
-                        n = hosted.buffer_frames(body, trace=ingest_span.ctx)
+                n = hosted.buffer_frames(body)
                 # The views alias the reader's buffer: release them before
                 # the next read so the buffer can compact in place.
                 del body
@@ -307,28 +272,14 @@ class ReportCollector:
                 await writer.drain()
             elif frame_type == protocol.QUERY:
                 spec = protocol.decode_json(body)
-                query_ctx = ctx
-                if isinstance(spec, dict) and "trace" in spec:
-                    # Popped unconditionally: the trace annotation is
-                    # transport metadata, not part of the query spec.
-                    announced = _trace.TraceContext.from_wire(spec.pop("trace"))
-                    if announced is not None and _trace.get_tracer().enabled:
-                        query_ctx = announced
-                with _trace.get_tracer().span(
-                    "collector.query",
-                    query_ctx,
-                    cat="serve",
-                    session=hosted.session_id,
-                ):
-                    try:
-                        result = await hosted.query(spec)
-                    except Exception as error:  # noqa: BLE001
-                        # Recoverable (e.g. estimate() before any data, or
-                        # a malformed parameter): report, keep the
-                        # connection.
-                        writer.write(protocol.error_frame(error))
-                    else:
-                        writer.write(protocol.reply_frame(result))
+                try:
+                    result = await hosted.query(spec)
+                except Exception as error:  # noqa: BLE001
+                    # Recoverable (e.g. estimate() before any data, or a
+                    # malformed parameter): report, keep the connection.
+                    writer.write(protocol.error_frame(error))
+                else:
+                    writer.write(protocol.reply_frame(result))
                 await writer.drain()
             elif frame_type == protocol.BYE:
                 await hosted.settle()

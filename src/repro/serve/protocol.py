@@ -6,25 +6,15 @@ Every message on a collector connection is one *frame*::
 
     HELLO   (0x01)  JSON session config — framework/top-k kind, epsilon,
                     domain sizes, execution mode, optional seed/shards/
-                    decay; opens or joins the named session.  May carry
-                    an optional ``"trace"`` object (``{"trace_id": hex,
-                    "span_id": hex}``, see
-                    :class:`repro.obs.trace.TraceContext`) naming the
-                    client-side trace this connection's work belongs to;
-                    the collector parents its decode/flush/drain spans
-                    on it.  The field is advisory: a collector without
-                    tracing ignores it, a malformed value degrades to an
-                    untraced connection, and it never affects the
-                    estimates.
+                    decay; opens or joins the named session.  A key
+                    outside the config's vocabulary is refused with an
+                    ERROR frame (see
+                    :func:`repro.serve.registry.canonical_config`).
     REPORTS (0x02)  u32_be count | count x (i32_le label, i32_le item) —
-                    the per-user reports, packed columnar-ready.  No
-                    per-frame trace field: REPORTS inherit the
-                    connection's HELLO trace context.
+                    the per-user reports, packed columnar-ready.
     QUERY   (0x03)  JSON ``{"query": "estimate" | "topk" | "class_sizes"
-                    | "stats" | "advance_round", ...params}`` — the
-                    control channel, answerable mid-stream.  Accepts the
-                    same optional ``"trace"`` object as HELLO to
-                    attribute this one query's server-side span.
+                    | "stats" | "advance_round" | "drift", ...params}`` —
+                    the control channel, answerable mid-stream.
     REPLY   (0x04)  JSON ``{"ok": true, "result": ...}`` (arrays as
                     nested lists).
     ERROR   (0x05)  JSON ``{"ok": false, "error": msg, "kind": cls}``.

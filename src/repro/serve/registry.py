@@ -37,7 +37,6 @@ import numpy as np
 
 from ..exceptions import DomainError
 from ..mechanisms.engine import batch_spans
-from ..obs import trace as _trace
 from ..obs.log import log_event
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry, Span
 from ..rng import ensure_rng, spawn
@@ -217,15 +216,19 @@ def _build_drain(config: dict, record: bool):
 
 
 class HostedSession:
-    """One live cohort: buffers, drain adapter, backpressure, queries."""
+    """One live cohort: buffers, drain adapter, backpressure, queries.
+
+    Its instruments, labelled by session id, record into ``metrics``,
+    the collector's registry.
+    """
 
     def __init__(
         self,
         config: dict,
+        metrics: MetricsRegistry,
         flush_reports: int = 65_536,
         high_water: int = 262_144,
         record: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if flush_reports < 1:
             raise ServeError(f"flush_reports must be >= 1, got {flush_reports}")
@@ -251,11 +254,6 @@ class HostedSession:
         self._lock = asyncio.Lock()
         self._resume = asyncio.Event()
         self._resume.set()
-        # Trace context of the most recent traced ingest: the next flush
-        # parents its span (and the shard spans below it) here, linking
-        # client → collector → shard in one trace.  ``None`` (tracing
-        # off or untraced clients) keeps the flush path span-free.
-        self._ingest_ctx: Optional[_trace.TraceContext] = None
         # Backpressure stall accounting (loop thread only): how many
         # waiters are currently paused, when the ongoing stall began
         # (epoch seconds, ``None`` when writable), and the accumulated
@@ -264,47 +262,31 @@ class HostedSession:
         self._stall_clock = 0.0
         self._stall_started: Optional[float] = None
         self._stall_seconds = 0.0
-        # Hosted sessions live in the event-loop process only (never
-        # pickled), so caching instruments here is safe and keeps the
-        # REPORTS hot path at one attribute check.
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_flush = metrics.histogram(
-                "serve_flush_reports",
-                buckets=DEFAULT_COUNT_BUCKETS,
-                session=self.session_id,
-            )
-            self._m_pending = metrics.gauge(
-                "serve_session_pending", session=self.session_id
-            )
-            self._m_pause = metrics.counter(
-                "serve_backpressure_pause_total", session=self.session_id
-            )
-            self._m_resume = metrics.counter(
-                "serve_backpressure_resume_total", session=self.session_id
-            )
-            self._m_occupancy = metrics.gauge(
-                "serve_ring_occupancy", session=self.session_id
-            )
-            self._m_capacity = metrics.gauge(
-                "serve_ring_capacity", session=self.session_id
-            )
-            self._m_capacity.set(self._ring.capacity)
-            self._m_sort = metrics.histogram(
-                "serve_flush_sort_seconds", session=self.session_id
-            )
-            self._m_decode = metrics.histogram(
-                "serve_decode_seconds", session=self.session_id
-            )
-            self._m_query = metrics.histogram(
-                "serve_query_seconds", session=self.session_id
-            )
-            self._m_drift_score = metrics.gauge(
-                "serve_drift_score", session=self.session_id
-            )
-            self._m_drift_events = metrics.counter(
-                "serve_drift_events_total", session=self.session_id
-            )
+        # Fetched once: the REPORTS hot path then touches no registry key.
+        session = self.session_id
+        self._m_flush = metrics.histogram(
+            "serve_flush_reports", buckets=DEFAULT_COUNT_BUCKETS, session=session
+        )
+        self._m_pending = metrics.gauge("serve_session_pending", session=session)
+        self._m_pause = metrics.counter(
+            "serve_backpressure_pause_total", session=session
+        )
+        self._m_resume = metrics.counter(
+            "serve_backpressure_resume_total", session=session
+        )
+        self._m_occupancy = metrics.gauge("serve_ring_occupancy", session=session)
+        metrics.gauge("serve_ring_capacity", session=session).set(
+            self._ring.capacity
+        )
+        self._m_flush_seconds = metrics.histogram(
+            "serve_flush_seconds", session=session
+        )
+        self._m_decode = metrics.histogram("serve_decode_seconds", session=session)
+        self._m_query = metrics.histogram("serve_query_seconds", session=session)
+        self._m_drift_score = metrics.gauge("serve_drift_score", session=session)
+        self._m_drift_events = metrics.counter(
+            "serve_drift_events_total", session=session
+        )
 
     # ------------------------------------------------------------------
     # buffering and flushing (event-loop thread only)
@@ -332,48 +314,35 @@ class HostedSession:
     def drain_log(self):
         return self._drain.drain_log
 
-    def buffer_frames(
-        self, bodies: list, trace: Optional[_trace.TraceContext] = None
-    ) -> int:
+    def buffer_frames(self, bodies: list) -> int:
         """Accept a run of coalesced REPORTS frame bodies in one pass.
 
         Each body is a zero-copy view over the connection's socket
         buffer; columns decode as strided ``int32`` views and write in
         place into the ring — no per-frame ndarray materialises.
-        ``trace`` (the connection's context, when the client announced
-        one and tracing is live) becomes the parent of the next flush
-        span; it is one attribute store on the hot path.
         """
-        if trace is not None:
-            self._ingest_ctx = trace
-        if self._metrics is not None:
-            with Span(self._m_decode):
-                total = self._buffer_frames(bodies)
-        else:
-            total = self._buffer_frames(bodies)
-        if total and self._metrics is not None:
-            self._m_pending.set(self.pending)
-            self._m_occupancy.set(len(self._ring))
-        return total
-
-    def _buffer_frames(self, bodies: list) -> int:
         total = 0
-        for body in bodies:
-            labels, items = decode_reports_view(body)
-            n = int(labels.size)
-            if n == 0:
-                continue
-            # One reduction per column: the int32 wire views reinterpret
-            # as uint32, where a negative value wraps above 2**31 — so a
-            # single unsigned max catches both out-of-range directions.
-            if labels.view(np.uint32).max() >= self.n_classes:
-                raise DomainError(f"labels outside [0, {self.n_classes})")
-            if items.view(np.uint32).max() >= self.n_items:
-                raise DomainError(f"items outside [0, {self.n_items})")
-            self._ring.append(labels, items)
-            total += n
+        with Span(self._m_decode):
+            for body in bodies:
+                labels, items = decode_reports_view(body)
+                n = int(labels.size)
+                if n == 0:
+                    continue
+                # One reduction per column: the int32 wire views
+                # reinterpret as uint32, where a negative value wraps
+                # above 2**31 — so a single unsigned max catches both
+                # out-of-range directions.
+                if labels.view(np.uint32).max() >= self.n_classes:
+                    raise DomainError(f"labels outside [0, {self.n_classes})")
+                if items.view(np.uint32).max() >= self.n_items:
+                    raise DomainError(f"items outside [0, {self.n_items})")
+                self._ring.append(labels, items)
+                total += n
         self._buffered += total
         self.n_accepted += total
+        if total:
+            self._m_pending.set(self.pending)
+            self._m_occupancy.set(len(self._ring))
         return total
 
     def flush(self) -> int:
@@ -389,36 +358,21 @@ class HostedSession:
         """
         if self._buffered == 0:
             return 0
-        with Span(self._m_sort if self._metrics is not None else None):
+        with Span(self._m_flush_seconds):
             labels = np.empty(len(self._ring), dtype=np.int64)
             items = np.empty(len(self._ring), dtype=np.int64)
             flushed = self._ring.consume(labels, items)
         self._buffered -= flushed
-        if self._metrics is not None:
-            self._m_flush.observe(flushed)
-            self._m_occupancy.set(len(self._ring))
+        self._m_flush.observe(flushed)
+        self._m_occupancy.set(len(self._ring))
         loop = asyncio.get_running_loop()
-        # A no-op span (ctx None) unless tracing is live and a traced
-        # client fed this session; otherwise the flush records itself
-        # under the last ingest's trace and hands its child context to
-        # the drain submits, so shard spans nest below it.
-        flush_span = _trace.get_tracer().span(
-            "collector.flush",
-            self._ingest_ctx,
-            cat="serve",
-            session=self.session_id,
-            reports=flushed,
-        )
-        with flush_span:
-            for span in batch_spans(flushed, 1, self.flush_reports):
-                chunk_labels, chunk_items = labels[span], items[span]
-                self._inflight += int(chunk_labels.size)
-                future = self._drain.submit(
-                    chunk_labels, chunk_items, trace=flush_span.ctx
-                )
-                future.add_done_callback(
-                    partial(self._on_drained, loop, int(chunk_labels.size))
-                )
+        for span in batch_spans(flushed, 1, self.flush_reports):
+            chunk_labels, chunk_items = labels[span], items[span]
+            self._inflight += int(chunk_labels.size)
+            future = self._drain.submit(chunk_labels, chunk_items)
+            future.add_done_callback(
+                partial(self._on_drained, loop, int(chunk_labels.size))
+            )
         return flushed
 
     def try_flush(self, only_full: bool = False) -> int:
@@ -440,8 +394,7 @@ class HostedSession:
 
     def _mark_drained(self, n: int) -> None:
         self._inflight -= n
-        if self._metrics is not None:
-            self._m_pending.set(self.pending)
+        self._m_pending.set(self.pending)
         if self.pending <= self.low_water:
             self._resume.set()
 
@@ -459,8 +412,7 @@ class HostedSession:
                 if self._stall_waiters == 1:
                     self._stall_clock = time.perf_counter()
                     self._stall_started = time.time()
-                if self._metrics is not None:
-                    self._m_pause.inc()
+                self._m_pause.inc()
                 log_event(
                     "serve.backpressure.pause",
                     session=self.session_id,
@@ -474,8 +426,7 @@ class HostedSession:
             if self._stall_waiters == 0:
                 self._stall_seconds += time.perf_counter() - self._stall_clock
                 self._stall_started = None
-            if self._metrics is not None:
-                self._m_resume.inc()
+            self._m_resume.inc()
             log_event(
                 "serve.backpressure.resume",
                 session=self.session_id,
@@ -496,7 +447,7 @@ class HostedSession:
             self.flush()
             loop = asyncio.get_running_loop()
             try:
-                with Span(self._m_query if self._metrics is not None else None):
+                with Span(self._m_query):
                     return await loop.run_in_executor(
                         None, self._query_sync, spec
                     )
@@ -572,11 +523,9 @@ class HostedSession:
             snapshot.estimate(), snapshot.estimate_variance(),
             threshold=threshold,
         )
-        if self._metrics is not None:
-            self._m_drift_score.set(report.score)
-            if report.drifted:
-                self._m_drift_events.inc()
+        self._m_drift_score.set(report.score)
         if report.drifted:
+            self._m_drift_events.inc()
             log_event(
                 "serve.drift.flagged",
                 session=self.session_id,
@@ -658,7 +607,8 @@ class HostedSession:
 class SessionRegistry:
     """Concurrent hosted sessions keyed by id (create-or-join).
 
-    ``max_sessions`` bounds how many distinct cohorts unauthenticated
+    ``metrics`` is the collector's registry; every hosted session
+    records into it.  ``max_sessions`` bounds how many distinct cohorts unauthenticated
     handshakes can create (each holds shard arrays and worker threads);
     per-session allocations are capped by :data:`MAX_DOMAIN_CELLS` /
     :data:`MAX_SHARDS` in :func:`canonical_config`.
@@ -666,12 +616,12 @@ class SessionRegistry:
 
     def __init__(
         self,
+        metrics: MetricsRegistry,
         default_shards: int = 1,
         flush_reports: int = 65_536,
         high_water: int = 262_144,
         record: bool = False,
         max_sessions: int = 256,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.default_shards = int(default_shards)
         self.flush_reports = int(flush_reports)
@@ -700,14 +650,13 @@ class SessionRegistry:
             )
         hosted = HostedSession(
             config,
+            self.metrics,
             flush_reports=self.flush_reports,
             high_water=self.high_water,
             record=self.record,
-            metrics=self.metrics,
         )
         self._sessions[config["session"]] = hosted
-        if self.metrics is not None:
-            self.metrics.gauge("serve_sessions_active").set(len(self._sessions))
+        self.metrics.gauge("serve_sessions_active").set(len(self._sessions))
         log_event(
             "serve.session.create",
             session=config["session"],

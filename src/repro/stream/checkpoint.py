@@ -20,7 +20,6 @@ from typing import Mapping, Union
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..obs import metrics as _obs
 from ..obs.log import log_event
 
 PathLike = Union[str, Path]
@@ -46,9 +45,6 @@ def save_state(path: PathLike, meta: Mapping, arrays: Mapping[str, np.ndarray]) 
     payload[_META_KEY] = np.asarray(json.dumps(dict(meta)))
     with open(path, "wb") as handle:
         np.savez(handle, **payload)
-    registry = _obs.get_registry()
-    if registry.enabled:
-        registry.counter("checkpoint_saves_total").inc()
     log_event("checkpoint.save", path=str(path), session=meta.get("session"))
     return path
 
@@ -70,8 +66,5 @@ def load_state(path: PathLike) -> tuple[dict, dict[str, np.ndarray]]:
         arrays = {
             key: archive[key] for key in archive.files if key != _META_KEY
         }
-    registry = _obs.get_registry()
-    if registry.enabled:
-        registry.counter("checkpoint_loads_total").inc()
     log_event("checkpoint.load", path=str(path), session=meta.get("session"))
     return meta, arrays

@@ -49,8 +49,6 @@ from typing import Optional
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..obs import metrics as _obs
-from ..obs import trace as _trace
 from .sharding import sum_batch_results
 from .window import WindowPolicy
 
@@ -114,18 +112,8 @@ class BatchDrain:
         self.drain_log: Optional[list[DrainLogEntry]] = [] if record else None
         self._futures: list[Future] = []
 
-    def _observe_drain(self, drained: int) -> None:
-        registry = _obs.get_registry()
-        if registry.enabled and drained:
-            registry.counter(
-                "drain_reports_total", adapter=type(self).__name__
-            ).inc(int(drained))
-
-    def submit(self, labels, items, trace=None) -> Future:
-        """Queue one batch.  ``trace`` (a
-        :class:`~repro.obs.trace.TraceContext`, default ``None``) rides
-        along to the aggregation layer so shard ingest spans parent on
-        the submitting request; it never affects the estimate path."""
+    def submit(self, labels, items) -> Future:
+        """Queue one batch."""
         raise NotImplementedError
 
     def drain(self) -> int:
@@ -157,7 +145,6 @@ class BatchDrain:
 
     def _credit(self, drained: int) -> None:
         self.n_drained += drained
-        self._observe_drain(drained)
         self._apply_decay(drained)
 
     def snapshot(self):
@@ -256,21 +243,21 @@ class AggregatorDrain(BatchDrain):
     def _decay_targets(self):
         return self._aggregator.partials()
 
-    def submit(self, labels, items, trace=None) -> Future:
+    def submit(self, labels, items) -> Future:
         labels, items = _as_batch(labels, items)
         shard = self._next % self._aggregator.n_shards
         self._next += 1
         self.n_submitted += int(labels.size)
         self._record(shard, labels, items)
-        future = self._aggregator.submit((labels, items), shard=shard, trace=trace)
+        future = self._aggregator.submit((labels, items), shard=shard)
         self._futures.append(future)
         return future
 
     def _wait(self, futures: list[Future]) -> int:
-        # The aggregator's drain records the shard-drain telemetry.  The
-        # count comes from the adapter's own futures: a caller may have
-        # drained the aggregator directly (merged(), partials()), which
-        # consumes its copies of them but credits nothing here.
+        # The aggregator's drain releases its own copies of the futures.
+        # The count comes from the adapter's: a caller may have drained
+        # the aggregator directly (merged(), partials()), which consumes
+        # its copies but credits nothing here.
         self._aggregator.drain()
         return sum_batch_results(futures)
 
@@ -320,24 +307,13 @@ class SessionDrain(BatchDrain):
     def _decay_targets(self):
         return (self._target,)
 
-    def submit(self, labels, items, trace=None) -> Future:
+    def submit(self, labels, items) -> Future:
         labels, items = _as_batch(labels, items)
         self.n_submitted += int(labels.size)
         self._record(0, labels, items)
-        if trace is not None and _trace.get_tracer().enabled:
-            future = self._executor.submit(
-                self._traced_ingest, (labels, items), trace
-            )
-        else:
-            future = self._executor.submit(
-                self._target.ingest_batch, (labels, items)
-            )
+        future = self._executor.submit(self._target.ingest_batch, (labels, items))
         self._futures.append(future)
         return future
-
-    def _traced_ingest(self, batch, trace):
-        with _trace.get_tracer().span("session.ingest", trace, cat="shard"):
-            return self._target.ingest_batch(batch)
 
     def _wait(self, futures: list[Future]) -> int:
         return sum_batch_results(futures)

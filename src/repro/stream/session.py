@@ -57,7 +57,6 @@ from ..mechanisms.correlated import CorrelatedPerturbation, CorrelatedSupport
 from ..mechanisms.engine import batch_support, grouped_batch_support
 from ..mechanisms.grr import GeneralizedRandomResponse, route_labels_grr
 from ..mechanisms.ue import OptimizedUnaryEncoding
-from ..obs import metrics as _obs
 from ..rng import RngLike, ensure_rng
 
 
@@ -126,7 +125,8 @@ class OnlineFrameworkSession:
             self._ingest_simulated(self._batch_pair_counts(labels, items))
         else:
             self._ingest_protocol(labels, items)
-        return self._count_ingested(labels.size)
+        self._n += labels.size
+        return labels.size
 
     def ingest_counts(self, pair_counts) -> int:
         """Ingest one batch given as its ``(c, d)`` matrix of user counts
@@ -156,18 +156,7 @@ class OnlineFrameworkSession:
         if n == 0:
             return 0
         self._ingest_simulated(counts)
-        return self._count_ingested(n)
-
-    def _count_ingested(self, n: int) -> int:
         self._n += n
-        # Instruments are fetched per call, never cached on the session:
-        # a cached one would outlive a clear() of the process registry
-        # and count into a series no snapshot shows.
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "stream_ingested_total", framework=self.name
-            ).inc(n)
         return n
 
     def ingest_dataset(self, dataset, batch_size: int = 65_536) -> int:
@@ -269,9 +258,6 @@ class OnlineFrameworkSession:
         self._n = int(np.rint(self._n * factor))
         if any_nonzero and self._n < 1:
             self._n = 1
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter("stream_decay_total", framework=self.name).inc()
 
     # ------------------------------------------------------------------
     # merging

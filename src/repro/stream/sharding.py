@@ -26,8 +26,6 @@ from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
-from ..obs import metrics as _obs
-from ..obs import trace as _trace
 
 #: Anything shard-shaped: ingest_batch(batch) + merge(other).
 Mergeable = object
@@ -93,9 +91,6 @@ class ShardedAggregator:
         self._futures: list[Future] = []
         self._next = 0
         self._closed = False
-        # Per-shard submitted-batch tallies (plain ints — cheap enough to
-        # keep unconditionally; the imbalance gauge reads them at drain).
-        self._shard_batches = [0] * len(self._shards)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -104,21 +99,12 @@ class ShardedAggregator:
     def n_shards(self) -> int:
         return len(self._shards)
 
-    def submit(
-        self,
-        batch,
-        shard: Optional[int] = None,
-        trace: Optional[_trace.TraceContext] = None,
-    ) -> Future:
+    def submit(self, batch, shard: Optional[int] = None) -> Future:
         """Queue one batch for ingestion; returns its future.
 
         Batches rotate round-robin unless ``shard`` pins one.  ``batch``
         is handed to the shard's ``ingest_batch`` as a single argument —
         sessions take their ``(labels, items)`` tuple that way.
-
-        ``trace`` attaches a :class:`~repro.obs.trace.TraceContext` to
-        the batch: the shard ingest records a child ``shard.ingest``
-        span.  ``None`` — the default — is the zero-cost path.
         """
         if self._closed:
             raise ConfigurationError("aggregator is closed")
@@ -129,23 +115,11 @@ class ShardedAggregator:
             raise ConfigurationError(
                 f"shard {shard} outside [0, {len(self._shards)})"
             )
-        self._shard_batches[shard] += 1
-        target = self._shards[shard]
-        if trace is not None and _trace.get_tracer().enabled:
-            future = self._executors[shard].submit(
-                self._traced_ingest, target, batch, trace, shard
-            )
-        else:
-            future = self._executors[shard].submit(target.ingest_batch, batch)
+        future = self._executors[shard].submit(
+            self._shards[shard].ingest_batch, batch
+        )
         self._futures.append(future)
         return future
-
-    @staticmethod
-    def _traced_ingest(target, batch, trace, shard):
-        with _trace.get_tracer().span(
-            "shard.ingest", trace, cat="shard", shard=shard
-        ):
-            return target.ingest_batch(batch)
 
     def ingest(self, batches) -> int:
         """Submit every batch of an iterable, drain, and return the total
@@ -161,18 +135,6 @@ class ShardedAggregator:
         after every queued batch has finished (see
         :func:`sum_batch_results`).
         """
-        registry = _obs.get_registry()
-        if not registry.enabled:
-            return self._drain_all()
-        with registry.span("shard_drain_seconds"):
-            total = self._drain_all()
-        registry.counter("shard_drained_reports_total").inc(total)
-        registry.gauge("shard_imbalance_batches").set(
-            max(self._shard_batches) - min(self._shard_batches)
-        )
-        return total
-
-    def _drain_all(self) -> int:
         futures, self._futures = self._futures, []
         return sum_batch_results(futures)
 

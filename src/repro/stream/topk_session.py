@@ -47,7 +47,6 @@ from ..mechanisms.engine import batch_support
 from ..mechanisms.grr import GeneralizedRandomResponse, route_labels_grr
 from ..mechanisms.ue import OptimizedUnaryEncoding, oue_probabilities
 from ..mechanisms.validity import ValidityPerturbation
-from ..obs import metrics as _obs
 from ..rng import RngLike, ensure_rng
 
 
@@ -206,11 +205,6 @@ class OnlineTopKSession:
             self._ingest_simulated(labels, items)
         self._round_n += labels.size
         self._n += labels.size
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "stream_ingested_total", framework="topk"
-            ).inc(int(labels.size))
         return int(labels.size)
 
     def _ingest_simulated(self, labels: np.ndarray, items: np.ndarray) -> None:
@@ -315,9 +309,6 @@ class OnlineTopKSession:
         self._round += 1
         self._round_n = 0
         self._round_class_n[:] = 0
-        registry = _obs.get_registry()
-        if registry.enabled:
-            registry.counter("topk_rounds_total").inc()
 
     def round_snr(self) -> float:
         """Signal-to-noise ratio of the current round's pruning decision.

@@ -420,14 +420,23 @@ class TestGroupedKernelConsumers:
 
 
 class TestNamesKeptForPerfbench:
-    """perfbench's provenance line imports these two on every run; they
-    must stay until perfbench tolerates their absence."""
+    """perfbench imports these on every run; they must stay until
+    perfbench tolerates their absence."""
 
     def test_backend_info_names_the_numpy_kernels(self):
         assert backend_info() == {"name": "numpy"}
 
     def test_default_thread_count_is_cpu_bounded(self):
         assert 1 <= engine.default_thread_count() <= 8
+
+    def test_telemetry_switches_read_off(self):
+        """perfbench refuses to take end-to-end numbers while either
+        reads True; the library has no switch left to turn on."""
+        from repro.obs.metrics import get_registry
+        from repro.obs.trace import get_tracer
+
+        assert get_registry().enabled is False
+        assert get_tracer().enabled is False
 
 
 class TestReportArrayFastPaths:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import series_key
 from repro.obs.health import (
     HEALTH_SCHEMA,
     HealthMonitor,
@@ -106,49 +107,64 @@ class TestEvaluateHealth:
         snapshot = {
             "counters": {'serve_drift_events_total{session="cohort"}': 12}
         }
-        cumulative = evaluate_health([], snapshot)
+        cumulative = evaluate_health([_session_stats()], snapshot)
         [drift] = _checks(cumulative, "drift_rate")
         assert drift["status"] == "fail"  # 12 fresh events >= drift_fail
 
         windowed = evaluate_health(
-            [], snapshot, drift_baseline={"cohort": 12}
+            [_session_stats()], snapshot, drift_baseline={"cohort": 12}
         )
         [drift] = _checks(windowed, "drift_rate")
         assert drift["status"] == "pass"
         assert drift["value"] == 0
 
-    def test_shard_imbalance_gauge(self):
-        verdict = evaluate_health(
-            [], {"gauges": {"shard_imbalance_batches": 2000.0}}
-        )
-        [imbalance] = _checks(verdict, "shard_imbalance")
-        assert imbalance["status"] == "fail"
-
-    def test_flush_latency_from_histogram(self):
+    @pytest.mark.parametrize(
+        "check,family",
+        [
+            ("flush_latency", "serve_flush_seconds"),
+            ("query_latency", "serve_query_seconds"),
+        ],
+    )
+    def test_latency_from_histogram(self, check, family):
         snapshot = {
             "histograms": {
-                'serve_flush_sort_seconds{session="cohort"}': {
+                f'{family}{{session="cohort"}}': {
                     "edges": [5.0, float("inf")],
                     "counts": [100, 0],
                 }
             }
         }
-        verdict = evaluate_health([], snapshot)
-        [flush] = _checks(verdict, "flush_latency")
+        verdict = evaluate_health([_session_stats()], snapshot)
+        [latency] = _checks(verdict, check)
         # p99 of a [0, 5) bucket interpolates to ~4.95s: warn territory.
-        assert flush["status"] == "warn"
-        assert flush["session"] == "cohort"
+        assert latency["status"] == "warn"
+        assert latency["session"] == "cohort"
+        assert latency["reason"].startswith(f"{family} p99")
 
     def test_empty_histograms_skipped(self):
         snapshot = {
             "histograms": {
-                "serve_flush_sort_seconds": {
+                'serve_flush_seconds{session="cohort"}': {
                     "edges": [1.0, float("inf")],
                     "counts": [0, 0],
                 }
             }
         }
-        assert _checks(evaluate_health([], snapshot), "flush_latency") == []
+        verdict = evaluate_health([_session_stats()], snapshot)
+        assert _checks(verdict, "flush_latency") == []
+
+    def test_only_the_sessions_passed_in_are_graded(self):
+        snapshot = {
+            "counters": {'serve_drift_events_total{session="gone"}': 4},
+            "histograms": {
+                'serve_query_seconds{session="gone"}': {
+                    "edges": [5.0, float("inf")],
+                    "counts": [100, 0],
+                }
+            },
+        }
+        verdict = evaluate_health([_session_stats()], snapshot)
+        assert {c["session"] for c in verdict["checks"]} == {"cohort"}
 
     def test_policy_thresholds_can_be_disabled(self):
         policy = HealthPolicy(stall_warn=None, stall_fail=None)
@@ -165,13 +181,13 @@ class TestHealthMonitor:
         snapshot = {
             "counters": {'serve_drift_events_total{session="cohort"}': 3}
         }
-        first = monitor.evaluate([], snapshot)
+        first = monitor.evaluate([_session_stats()], snapshot)
         [drift] = _checks(first, "drift_rate")
         assert drift["status"] == "warn"
         assert drift["value"] == 3
 
         # Same cumulative count again: no new events, back to pass.
-        second = monitor.evaluate([], snapshot)
+        second = monitor.evaluate([_session_stats()], snapshot)
         [drift] = _checks(second, "drift_rate")
         assert drift["status"] == "pass"
         assert monitor.last is second
@@ -181,3 +197,35 @@ class TestHealthMonitor:
         verdict = monitor.evaluate([_session_stats(stall_seconds=0.01)])
         [stall] = _checks(verdict, "backpressure_stall")
         assert stall["status"] == "warn"
+
+    def test_session_ids_with_commas_and_quotes_attribute_exactly(self):
+        """Session ids are any string a HELLO names.  Each session's
+        series are looked up by its exact series key, so ids that a label
+        parser would split (commas) or unescape (quotes) grade as
+        themselves and keep separate drift windows."""
+        ids = ("a,b", "a,c", 'x"y')
+        drift = dict(zip(ids, (3, 5, 1)))
+        latency = {"edges": [5.0, float("inf")], "counts": [100, 0]}
+        snapshot = {
+            "counters": {
+                series_key("serve_drift_events_total", {"session": sid}): n
+                for sid, n in drift.items()
+            },
+            "histograms": {
+                series_key(family, {"session": sid}): latency
+                for sid in ids
+                for family in ("serve_flush_seconds", "serve_query_seconds")
+            },
+        }
+        sessions = [_session_stats(session=sid) for sid in ids]
+        monitor = HealthMonitor()
+        first = monitor.evaluate(sessions, snapshot)
+        for check in ("drift_rate", "flush_latency", "query_latency"):
+            assert sorted(c["session"] for c in _checks(first, check)) == sorted(ids)
+        assert {c["session"]: c["value"] for c in _checks(first, "drift_rate")} == drift
+
+        # Each window closed on its own count: nothing fresh anywhere.
+        second = monitor.evaluate(sessions, snapshot)
+        assert {c["session"]: c["value"] for c in _checks(second, "drift_rate")} == {
+            sid: 0 for sid in ids
+        }

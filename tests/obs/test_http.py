@@ -173,13 +173,11 @@ class TestRouting:
 
 class TestMetricsServer:
     def test_metrics_route_renders_registries(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("demo_total").inc(3)
 
         async def scenario():
-            server = await start_metrics_server(
-                "127.0.0.1", 0, [registry]
-            )
+            server = await start_metrics_server("127.0.0.1", 0, registry)
             try:
                 return await _request(_port(server), _get("/metrics"))
             finally:
@@ -191,13 +189,13 @@ class TestMetricsServer:
         assert b"demo_total 3" in response
 
     def test_extra_routes_mount_next_to_metrics(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
 
         async def scenario():
             server = await start_metrics_server(
                 "127.0.0.1",
                 0,
-                [registry],
+                registry,
                 routes={
                     "/healthz": lambda: (
                         "200 OK",
@@ -223,7 +221,7 @@ class TestMetricsServer:
     def test_custom_render_overrides_default(self):
         async def scenario():
             server = await start_metrics_server(
-                "127.0.0.1", 0, [], render=lambda: "custom 42\n"
+                "127.0.0.1", 0, MetricsRegistry(), render=lambda: "custom 42\n"
             )
             try:
                 return await _request(_port(server), _get("/metrics"))
@@ -234,11 +232,11 @@ class TestMetricsServer:
         assert b"custom 42" in run(scenario())
 
     def test_concurrent_scrapes(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("demo_total").inc()
 
         async def scenario():
-            server = await start_metrics_server("127.0.0.1", 0, [registry])
+            server = await start_metrics_server("127.0.0.1", 0, registry)
             try:
                 port = _port(server)
                 return await asyncio.gather(

@@ -14,15 +14,12 @@ from repro.obs import (
     SNAPSHOT_SCHEMA,
     JsonLogger,
     MetricsRegistry,
-    enabled,
-    merge_snapshots,
+    Span,
     render,
     render_snapshot,
     series_key,
-    span,
     write_snapshot,
 )
-from repro.obs import metrics as obs_metrics
 
 
 class TestSeriesKey:
@@ -40,39 +37,29 @@ class TestSeriesKey:
 
 class TestCounter:
     def test_increments_accumulate(self):
-        counter = MetricsRegistry(enabled=True).counter("c")
+        counter = MetricsRegistry().counter("c")
         counter.inc()
         counter.inc(41)
         assert counter.value == 42
 
-    def test_disabled_registry_is_a_noop(self):
-        counter = MetricsRegistry(enabled=False).counter("c")
-        counter.inc(1000)
-        assert counter.value == 0
-
     def test_negative_increment_rejected(self):
-        counter = MetricsRegistry(enabled=True).counter("c")
+        counter = MetricsRegistry().counter("c")
         with pytest.raises(ValueError):
             counter.inc(-1)
 
 
 class TestGauge:
     def test_set_inc_dec(self):
-        gauge = MetricsRegistry(enabled=True).gauge("g")
+        gauge = MetricsRegistry().gauge("g")
         gauge.set(10)
         gauge.inc(5)
         gauge.dec(3)
         assert gauge.value == 12.0
 
-    def test_disabled_registry_is_a_noop(self):
-        gauge = MetricsRegistry(enabled=False).gauge("g")
-        gauge.set(99)
-        assert gauge.value == 0.0
-
 
 class TestHistogram:
     def test_bucket_edges_le_semantics(self):
-        hist = MetricsRegistry(enabled=True).histogram("h", buckets=(1.0, 2.0, 4.0))
+        hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0))
         # exactly on an edge lands in that edge's bucket (Prometheus le).
         hist.observe(1.0)
         hist.observe(1.5)
@@ -85,16 +72,11 @@ class TestHistogram:
         assert state["sum"] == pytest.approx(106.5)
 
     def test_edges_must_strictly_increase(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         with pytest.raises(ValueError):
             registry.histogram("h", buckets=(1.0, 1.0))
         with pytest.raises(ValueError):
             registry.histogram("h2", buckets=())
-
-    def test_disabled_registry_is_a_noop(self):
-        hist = MetricsRegistry(enabled=False).histogram("h", buckets=(1.0,))
-        hist.observe(0.5)
-        assert hist.count == 0
 
     def test_default_bucket_tables_are_valid(self):
         for table in (DEFAULT_TIME_BUCKETS, DEFAULT_COUNT_BUCKETS):
@@ -103,19 +85,19 @@ class TestHistogram:
 
 class TestRegistry:
     def test_get_or_create_returns_the_same_instrument(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         assert registry.counter("c", x=1) is registry.counter("c", x=1)
         assert registry.counter("c", x=1) is not registry.counter("c", x=2)
         assert len(registry) == 2
 
     def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("m")
         with pytest.raises(ValueError):
             registry.gauge("m")
 
     def test_snapshot_shape_and_schema(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
         registry.histogram("h", buckets=(1.0,)).observe(0.5)
@@ -130,7 +112,7 @@ class TestRegistry:
     def test_concurrent_increments_sum_exactly(self):
         """Shard workers hammer one counter while snapshots are taken:
         no increment is lost and no snapshot shows a torn value."""
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         counter = registry.counter("c")
         hist = registry.histogram("h", buckets=(0.5,))
         per_thread, n_threads = 2000, 8
@@ -160,7 +142,7 @@ class TestRegistry:
         assert all(isinstance(v, int) and 0 <= v <= counter.value for v in seen)
 
     def test_clear(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.clear()
         assert len(registry) == 0
@@ -168,67 +150,17 @@ class TestRegistry:
 
 
 class TestSpan:
-    def test_measures_even_when_disabled(self):
-        registry = MetricsRegistry(enabled=False)
-        with registry.span("s") as timer:
+    def test_records_into_its_histogram(self):
+        registry = MetricsRegistry()
+        with Span(registry.histogram("s")):
             pass
-        assert timer.elapsed >= 0.0
-        assert registry.histogram("s").count == 0
-
-    def test_records_when_enabled(self):
-        registry = MetricsRegistry(enabled=True)
-        with registry.span("s") as timer:
-            pass
-        assert timer.elapsed >= 0.0
-        assert registry.histogram("s").count == 1
-
-    def test_module_span_targets_process_registry(self):
-        registry = obs_metrics.get_registry()
-        was = registry.enabled
-        registry.clear()
-        try:
-            with enabled():
-                with span("module_span_test", framework="pts"):
-                    pass
-            snap = registry.snapshot()
-            key = 'module_span_test{framework="pts"}'
-            assert snap["histograms"][key]["count"] == 1
-            assert registry.enabled is was
-        finally:
-            registry.clear()
-            registry._enabled = was
-
-
-class TestEnabledContext:
-    def test_restores_disabled_state(self):
-        registry = MetricsRegistry(enabled=False)
-        with enabled(registry):
-            assert registry.enabled
-        assert not registry.enabled
-
-    def test_preserves_already_enabled_state(self):
-        registry = MetricsRegistry(enabled=True)
-        with enabled(registry):
-            assert registry.enabled
-        assert registry.enabled
-
-
-class TestMergeSnapshots:
-    def test_merges_sections_sorted(self):
-        a = MetricsRegistry(enabled=True)
-        a.counter("a_total").inc(1)
-        b = MetricsRegistry(enabled=True)
-        b.counter("b_total").inc(2)
-        b.gauge("g").set(3)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert list(merged["counters"]) == ["a_total", "b_total"]
-        assert merged["counters"]["b_total"] == 2
-        assert merged["gauges"]["g"] == 3.0
+        state = registry.histogram("s").state()
+        assert state["count"] == 1 and state["sum"] >= 0.0
 
 
 class TestPromRendering:
     def test_counter_and_gauge_lines(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("reports_total", framework="pts").inc(7)
         registry.gauge("depth").set(2.5)
         text = render(registry)
@@ -238,7 +170,7 @@ class TestPromRendering:
         assert "depth 2.5" in text
 
     def test_histogram_cumulative_buckets(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         hist = registry.histogram("lat", buckets=(1.0, 2.0), unit="s")
         for v in (0.5, 1.5, 99.0):
             hist.observe(v)
@@ -251,7 +183,7 @@ class TestPromRendering:
         assert 'lat_count{unit="s"} 3' in text
 
     def test_unlabelled_histogram_suffixes(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.histogram("h", buckets=(1.0,)).observe(0.5)
         text = render(registry)
         assert 'h_bucket{le="1"} 1' in text
@@ -276,7 +208,7 @@ class TestPromRendering:
         assert render_snapshot({"counters": {}, "gauges": {}, "histograms": {}}) == ""
 
     def test_write_snapshot(self, tmp_path):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("c").inc()
         path = write_snapshot(tmp_path / "m.prom", registry)
         assert path.read_text() == "# TYPE c counter\nc 1\n"

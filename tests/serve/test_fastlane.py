@@ -172,7 +172,9 @@ class TestHostedFlush:
         Returns the (closed) hosted session and each flush's count.
         """
         registry = SessionRegistry(
-            record=True, flush_reports=flush_reports, metrics=metrics
+            MetricsRegistry() if metrics is None else metrics,
+            record=True,
+            flush_reports=flush_reports,
         )
         hosted, _ = registry.open(
             dict(
@@ -277,14 +279,14 @@ class TestHostedFlush:
         assert stats["n_accepted"] == stats["n_submitted"] == 0
 
     def test_flush_times_the_copy_and_counts_the_reports(self):
-        metrics = MetricsRegistry(enabled=True)
+        metrics = MetricsRegistry()
         rounds = [[_reports(700, seed=7)], [], [_reports(300, seed=8)]]
         _, flushed = self._flush_rounds(rounds, metrics=metrics)
         assert flushed == [700, 0, 300]
         histograms = metrics.snapshot()["histograms"]
         # One timed copy per flush that found reports; the empty one
         # returns before the span.
-        assert histograms['serve_flush_sort_seconds{session="flush"}']["count"] == 2
+        assert histograms['serve_flush_seconds{session="flush"}']["count"] == 2
         sizes = histograms['serve_flush_reports{session="flush"}']
         assert (sizes["count"], sizes["sum"]) == (2, 1000)
 

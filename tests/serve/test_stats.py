@@ -3,16 +3,23 @@ reconciles exactly with what clients submitted, and the Prometheus
 ``/metrics`` endpoint serves the same registry over HTTP."""
 
 import asyncio
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, start_metrics_server
+import repro
+from repro.obs import HealthPolicy, MetricsRegistry, start_metrics_server
 from repro.serve import (
     ReportClient,
     ReportCollector,
     fetch_stats,
     generate_load,
+    protocol,
 )
 
 
@@ -108,8 +115,8 @@ class TestStatsFrame:
         # Every coalesced decode pass and flush copy is timed.
         decode = histograms[f"serve_decode_seconds{{{session}}}"]
         assert decode["count"] >= 1 and decode["sum"] >= 0
-        sort = histograms[f"serve_flush_sort_seconds{{{session}}}"]
-        assert sort["count"] >= 1 and sort["sum"] >= 0
+        flush = histograms[f"serve_flush_seconds{{{session}}}"]
+        assert flush["count"] >= 1 and flush["sum"] >= 0
         query = histograms[f"serve_query_seconds{{{session}}}"]
         assert query["count"] == 2  # every query reached a worker
         # The ring drained before the first query answered; capacity is
@@ -151,17 +158,163 @@ class TestStatsFrame:
         names = {s["session"] for s in live["sessions"]}
         assert "midpoll" in names
 
-    def test_collector_metrics_registry_always_enabled(self):
+
+class TestOneRegistry:
+    """The collector's registry is the only one: it always records, and
+    no option or environment variable switches telemetry on or off."""
+
+    def test_the_collector_owns_the_registry_its_sessions_record_into(self):
         collector = ReportCollector()
-        assert collector.metrics.enabled
-        private = MetricsRegistry(enabled=True)
-        assert ReportCollector(metrics=private).metrics is private
+        assert isinstance(collector.metrics, MetricsRegistry)
+        assert collector.registry.metrics is collector.metrics
+        collector.registry.open(_config(session="owned"))
+        try:
+            gauges = collector.metrics.snapshot()["gauges"]
+            assert gauges['serve_ring_capacity{session="owned"}'] > 0
+            assert gauges["serve_sessions_active"] == 1
+        finally:
+            collector.registry.close()
+
+    @pytest.mark.parametrize(
+        "factory,option",
+        [
+            (ReportCollector, "registry"),
+            (ReportCollector, "metrics"),
+            (HealthPolicy, "imbalance_warn"),
+            (HealthPolicy, "imbalance_fail"),
+            (MetricsRegistry, "enabled"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_deleted_options_are_refused(self, factory, option):
+        with pytest.raises(TypeError, match=option):
+            factory(**{option: True})
+
+    def test_repro_obs_environment_switches_nothing_on(self):
+        """``REPRO_OBS`` is no longer read: with it set, a protocol-mode
+        run still leaves both names perfbench guards on reading off, and
+        the package has no switch to flip."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(
+            os.environ,
+            REPRO_OBS="1",
+            PYTHONPATH=os.pathsep.join(filter(None, paths)),
+        )
+        code = (
+            "import numpy as np, repro, repro.obs as obs\n"
+            "from repro.obs.metrics import get_registry\n"
+            "from repro.obs.trace import get_tracer\n"
+            "rng = np.random.default_rng(0)\n"
+            "data = repro.LabelItemDataset(rng.integers(0, 3, 500), "
+            "rng.integers(0, 16, 500), 3, 16)\n"
+            "repro.estimate_frequencies(data, framework='pts', epsilon=1.0, "
+            "mode='protocol', rng=1)\n"
+            "print(get_registry().enabled, get_tracer().enabled, "
+            "[name for name in ('enable', 'disable', 'enabled', 'span') "
+            "if hasattr(obs, name)])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False False []"
+
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+#: Snapshot section of each catalogued instrument type.
+SECTIONS = {"counter": "counters", "gauge": "gauges", "histogram": "histograms"}
+
+
+def _catalogue() -> dict:
+    """README's metrics catalogue: family -> (section, label names).
+
+    A row names one or more families (`` `name{labels}` ``); its type
+    cell gives one type for all of them, or one per family split by
+    ``/``.
+    """
+    text = README.read_text()
+    table = text[text.index("Metrics catalogue"):]
+    table = table[table.index("| metric |"):]
+    catalogue = {}
+    for row in table.splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        names, kinds = (cell.strip() for cell in row.strip("|").split("|")[:2])
+        families = re.findall(r"`(\w+)(?:\{([\w,]*)\})?`", names)
+        kinds = kinds.split("/")
+        if len(kinds) == 1:
+            kinds = kinds * len(families)
+        assert len(kinds) == len(families), row
+        for (family, labels), kind in zip(families, kinds):
+            catalogue[family] = (SECTIONS[kind], tuple(filter(None, labels.split(","))))
+    return catalogue
+
+
+CATALOGUE = _catalogue()
+
+
+@pytest.fixture(scope="module")
+def live_snapshot():
+    """The registry snapshot of a collector that served one 2-shard
+    session (reports, an estimate, a drift query), a STATS and a HEALTH
+    poll, and one connection that opened without a HELLO."""
+    labels, items = _population(n=2000)
+
+    async def scenario():
+        async with ReportCollector() as collector:
+            client = await ReportClient.connect(
+                collector.host, collector.port, **_config(session="catalogue")
+            )
+            async with client:
+                await client.send(labels, items, chunk_size=400)
+                await client.estimate()
+                await client.query("drift")
+                await client.server_stats()
+                await client.health()
+            reader, writer = await asyncio.open_connection(
+                collector.host, collector.port
+            )
+            writer.write(protocol.query_frame("estimate"))
+            await writer.drain()
+            await protocol.read_frame(reader)
+            writer.close()
+            await writer.wait_closed()
+            return collector.metrics.snapshot()
+
+    return run(scenario())
+
+
+def _families(snapshot: dict) -> dict:
+    """family -> (section, label names) of every series in a snapshot."""
+    families = {}
+    for section in SECTIONS.values():
+        for series in snapshot[section]:
+            family, _, body = series.partition("{")
+            names = tuple(sorted(re.findall(r'(\w+)="', body)))
+            families.setdefault(family, set()).add((section, names))
+    return families
+
+
+class TestMetricsCatalogue:
+    """README's catalogue lists exactly the series a live collector
+    holds, with their types and label names."""
+
+    @pytest.mark.parametrize("family", sorted(CATALOGUE))
+    def test_catalogued_family_is_held_by_a_live_collector(
+        self, live_snapshot, family
+    ):
+        assert _families(live_snapshot).get(family) == {CATALOGUE[family]}
+
+    def test_a_live_collector_holds_no_uncatalogued_family(self, live_snapshot):
+        assert set(_families(live_snapshot)) == set(CATALOGUE)
 
 
 class TestMetricsEndpoint:
     def _get(self, request: bytes, registry: MetricsRegistry) -> bytes:
         async def scenario():
-            server = await start_metrics_server("127.0.0.1", 0, (registry,))
+            server = await start_metrics_server("127.0.0.1", 0, registry)
             port = server.sockets[0].getsockname()[1]
             try:
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -178,7 +331,7 @@ class TestMetricsEndpoint:
         return run(scenario())
 
     def test_metrics_path_serves_prometheus_text(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("serve_reports_ingested_total").inc(77)
         response = self._get(b"GET /metrics HTTP/1.0\r\n\r\n", registry)
         head, _, body = response.partition(b"\r\n\r\n")
@@ -188,12 +341,12 @@ class TestMetricsEndpoint:
 
     def test_unknown_path_is_404(self):
         response = self._get(
-            b"GET /nope HTTP/1.0\r\n\r\n", MetricsRegistry(enabled=True)
+            b"GET /nope HTTP/1.0\r\n\r\n", MetricsRegistry()
         )
         assert b"404" in response.splitlines()[0]
 
     def test_non_get_is_405(self):
         response = self._get(
-            b"POST /metrics HTTP/1.0\r\n\r\n", MetricsRegistry(enabled=True)
+            b"POST /metrics HTTP/1.0\r\n\r\n", MetricsRegistry()
         )
         assert b"405" in response.splitlines()[0]

@@ -1,22 +1,20 @@
-"""End-to-end request tracing and health verdicts over the serve plane.
-
-The acceptance path: a traced client session against a collector with
-two shards exports ONE Chrome trace-event document in which a single
-trace id links the client's submit spans to the collector's ingest/flush
-spans and the shard threads' ingest spans."""
+"""Health verdicts over the serve plane, and the refusal of a HELLO
+``trace`` key."""
 
 import asyncio
 import time
 
 import numpy as np
+import pytest
 
-from repro.obs import trace as obs_trace
-from repro.obs.trace import get_tracer, tracing_enabled
+from repro.obs import histogram_quantile, render
 from repro.serve import (
     ReportClient,
     ReportCollector,
+    ServeError,
     fetch_health,
     fetch_stats,
+    protocol,
 )
 
 
@@ -44,123 +42,49 @@ def _config(**overrides):
     return config
 
 
-def _names_by_trace(spans, trace_id):
-    return {s["name"] for s in spans if s["trace_id"] == trace_id}
+#: ``trace`` values a HELLO once carried: a well-formed context, and the
+#: malformed and null forms the collector used to degrade to untraced.
+TRACE_VALUES = {
+    "context": {"trace_id": "ab" * 8, "span_id": "cd" * 8},
+    "null": None,
+    "empty": {},
+    "string": "not-a-context",
+}
 
 
-class TestTracedEndToEnd:
-    def test_one_trace_id_links_client_collector_and_shards(self):
-        """Acceptance: client submit, collector ingest/flush, shard
-        ingest, and the query all share the client's root trace id in a
-        single exported Chrome trace document."""
-        labels, items = _population()
-        config = _config(session="trace-shards")
-
-        async def scenario():
-            async with ReportCollector() as collector:
-                client = await ReportClient.connect(
-                    collector.host, collector.port, **config
-                )
-                async with client:
-                    trace_id = client.trace.trace_id
-                    await client.send(labels, items, chunk_size=256)
-                    estimate = await client.estimate()
-            return trace_id, estimate
-
-        tracer = get_tracer()
-        tracer.clear()
-        with tracing_enabled():
-            trace_id, estimate = run(scenario())
-            document = tracer.export_chrome()
-            spans = tracer.drain_spans()
-        tracer.clear()
-
-        assert estimate.shape == (3, 32)
-        names = _names_by_trace(spans, trace_id)
-        # one trace id stitches every layer of the request path together
-        assert {
-            "client.send",
-            "collector.ingest",
-            "collector.flush",
-            "shard.ingest",
-            "client.query",
-            "collector.query",
-        } <= names
-
-        # the same linkage is visible in the exported Chrome document
-        slices = [e for e in document["traceEvents"] if e["ph"] == "X"]
-        traced = [e for e in slices if e["args"].get("trace_id") == trace_id]
-        assert {e["name"] for e in traced} >= {
-            "client.send",
-            "collector.flush",
-            "shard.ingest",
-        }
-        assert document["otherData"]["dropped_spans"] == 0
-
-        # parenting: collector.flush descends from the announced root
-        flush = next(s for s in spans if s["name"] == "collector.flush")
-        assert flush["trace_id"] == trace_id
-        assert flush["parent_id"] is not None
-
-    def test_untraced_run_records_nothing(self):
-        """The zero-cost guarantee: with the tracer off (the default in
-        this suite), a full session leaves the span ring empty and the
-        client never mints a context."""
-        labels, items = _population(n=400)
-        config = _config(session="untraced")
+class TestHelloTraceField:
+    @pytest.mark.parametrize("trace", TRACE_VALUES.values(), ids=TRACE_VALUES)
+    def test_hello_carrying_trace_is_refused(self, trace):
+        """``trace`` is no session config key: a HELLO carrying it, in
+        whatever form, gets an ERROR frame naming the key, and creates no
+        session."""
 
         async def scenario():
-            async with ReportCollector() as collector:
-                client = await ReportClient.connect(
-                    collector.host, collector.port, **config
-                )
-                async with client:
-                    await client.send(labels, items)
-                    await client.estimate()
-                return client.trace
-
-        tracer = get_tracer()
-        assert not tracer.enabled
-        before = tracer.ring.total
-        ctx = run(scenario())
-        assert ctx is None
-        assert tracer.ring.total == before
-
-    def test_malformed_trace_field_degrades_to_untraced(self):
-        """A garbage ``trace`` value on the HELLO must not kill the
-        handshake — the connection simply runs untraced."""
-        labels, items = _population(n=300)
-
-        async def scenario():
-            from repro.serve import protocol
-
             async with ReportCollector() as collector:
                 reader, writer = await asyncio.open_connection(
                     collector.host, collector.port
                 )
-                hello = dict(_config(session="badtrace"))
-                hello["trace"] = ["not", "a", "context"]
-                reply = await protocol.request(
-                    reader, writer, protocol.hello_frame(hello)
-                )
+                hello = dict(_config(session="badtrace"), trace=trace)
+                # Encoded as is: ``hello_frame`` would elide a null.
+                writer.write(protocol.encode_json(protocol.HELLO, hello))
+                await writer.drain()
+                frame_type, body = await protocol.read_frame(reader)
                 writer.close()
                 await writer.wait_closed()
-                return reply
+                return frame_type, protocol.decode_json(body), len(
+                    collector.registry
+                )
 
-        tracer = get_tracer()
-        tracer.clear()
-        with tracing_enabled():
-            reply = run(scenario())
-        tracer.clear()
-        assert reply["result"]["session"] == "badtrace"
+        frame_type, reply, n_sessions = run(scenario())
+        assert frame_type == protocol.ERROR
+        assert "unknown session config keys: ['trace']" in reply["error"]
+        assert n_sessions == 0
 
-    def test_traced_queries_parent_on_their_client_spans(self):
-        """Each query frame's trace annotation is popped off the spec and
-        parents that query's collector span: two identical queries on a
-        traced connection record two collector spans under two distinct
-        client spans, and answer the same drained state."""
+    def test_join_carrying_trace_is_refused_and_the_session_serves_on(self):
+        """A joining HELLO that carries ``trace`` is refused the same way;
+        the session it named keeps serving its first client."""
         labels, items = _population(n=600)
-        config = _config(session="tracequery", shards=1)
+        config = _config(session="joined")
 
         async def scenario():
             async with ReportCollector() as collector:
@@ -169,21 +93,25 @@ class TestTracedEndToEnd:
                 )
                 async with client:
                     await client.send(labels, items)
-                    first = await client.estimate()
-                    second = await client.estimate()
-            return first, second
+                    reader, writer = await asyncio.open_connection(
+                        collector.host, collector.port
+                    )
+                    hello = dict(config, trace=TRACE_VALUES["context"])
+                    writer.write(protocol.hello_frame(hello))
+                    await writer.drain()
+                    frame_type, body = await protocol.read_frame(reader)
+                    writer.close()
+                    await writer.wait_closed()
+                    estimate = await client.estimate()
+                    [hosted] = collector.registry.sessions()
+                    n_drained = hosted.ingest_stats()["n_drained"]
+            return frame_type, protocol.decode_json(body), estimate, n_drained
 
-        tracer = get_tracer()
-        tracer.clear()
-        with tracing_enabled():
-            first, second = run(scenario())
-            spans = tracer.drain_spans()
-        tracer.clear()
-        np.testing.assert_array_equal(first, second)
-        clients = [s["span_id"] for s in spans if s["name"] == "client.query"]
-        parents = [s["parent_id"] for s in spans if s["name"] == "collector.query"]
-        assert len(set(clients)) == 2
-        assert sorted(parents) == sorted(clients)
+        frame_type, reply, estimate, n_drained = run(scenario())
+        assert frame_type == protocol.ERROR
+        assert "unknown session config keys: ['trace']" in reply["error"]
+        assert np.asarray(estimate).shape == (3, 32)
+        assert n_drained == 600
 
 
 class TestHealthVerdicts:
@@ -223,6 +151,102 @@ class TestHealthVerdicts:
             if c["check"] == "flush_latency" and c.get("session") == "healthmid"
         ]
         assert flushes and flushes[0]["status"] in ("pass", "warn")
+
+    def test_query_latency_graded_per_session_on_a_sharded_protocol_collector(
+        self,
+    ):
+        """After one estimate on a live 2-shard protocol-mode PTS
+        session, HEALTH grades that session's query latency — the drain
+        of every shard plus the answer — read from its
+        ``serve_query_seconds`` histogram, on the wire frame and through
+        ``collector.health()`` alike."""
+        labels, items = _population(n=3000, c=4, d=64)
+        config = _config(
+            session="latency", framework="pts", n_classes=4, n_items=64,
+            mode="protocol", shards=2,
+        )
+
+        async def scenario():
+            async with ReportCollector() as collector:
+                client = await ReportClient.connect(
+                    collector.host, collector.port, **config
+                )
+                async with client:
+                    await client.send(labels, items, chunk_size=500)
+                    await client.estimate()
+                    wire = await client.health()
+                    local = collector.health()
+                    histogram = collector.metrics.snapshot()["histograms"][
+                        'serve_query_seconds{session="latency"}'
+                    ]
+            return wire, local, histogram
+
+        wire, local, histogram = run(scenario())
+        assert histogram["count"] == 1
+        expected = round(histogram_quantile(histogram, 0.99), 6)
+        for verdict in (wire, local):
+            [latency] = [
+                c for c in verdict["checks"] if c["check"] == "query_latency"
+            ]
+            assert latency["session"] == "latency"
+            assert latency["reason"].startswith("serve_query_seconds p99")
+            assert latency["value"] == expected
+            assert latency["status"] in ("pass", "warn")
+
+    @pytest.mark.parametrize(
+        "session", ["a,b", 'a"b', "a\\b", "a\nb", "a=b", "a}b", "a b\u00e9"]
+    )
+    def test_session_ids_grade_as_themselves_next_to_a_prefix_session(
+        self, session
+    ):
+        """A session id is any non-empty string a HELLO names.  Next to a
+        session ``a``, an id that a label parser would split, unescape or
+        cut short still gets its own checks over the wire and its own
+        Prometheus series."""
+        labels, items = _population(n=400)
+
+        async def scenario():
+            async with ReportCollector() as collector:
+                for sid in (session, "a"):
+                    client = await ReportClient.connect(
+                        collector.host, collector.port, **_config(session=sid)
+                    )
+                    async with client:
+                        await client.send(labels, items)
+                        await client.estimate()
+                verdict = await fetch_health(collector.host, collector.port)
+                return verdict, render(collector.metrics)
+
+        verdict, text = run(scenario())
+        for check in (
+            "ingest_lag", "backpressure_stall", "flush_latency", "query_latency",
+        ):
+            graded = [c["session"] for c in verdict["checks"] if c["check"] == check]
+            assert sorted(graded) == sorted([session, "a"]), check
+        escaped = session.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        assert f'serve_query_seconds_count{{session="{escaped}"}} 1\n' in text
+
+    def test_a_refused_query_is_timed_too(self):
+        """The query histogram times every query that reached a worker,
+        including one the session refuses, so HEALTH's query latency
+        covers failing queries as well."""
+        labels, items = _population(n=300)
+        config = _config(session="refusedquery")
+
+        async def scenario():
+            async with ReportCollector() as collector:
+                client = await ReportClient.connect(
+                    collector.host, collector.port, **config
+                )
+                async with client:
+                    await client.send(labels, items)
+                    with pytest.raises(ServeError, match="topk on a framework"):
+                        await client.topk()
+                    await client.estimate()
+                histograms = collector.metrics.snapshot()["histograms"]
+                return histograms['serve_query_seconds{session="refusedquery"}']
+
+        assert run(scenario())["count"] == 2
 
     def test_health_flips_pass_warn_fail_under_injected_stall(self):
         """Acceptance: the verdict flips pass -> warn -> fail as a

@@ -6,7 +6,6 @@ import pytest
 from functools import reduce
 
 from repro.exceptions import ConfigurationError, DomainError
-from repro.obs.trace import TraceContext, get_tracer, tracing_enabled
 from repro.rng import ensure_rng, spawn
 from repro.stream import (
     DECAY_EVENT,
@@ -51,6 +50,26 @@ class TestAggregatorDrain:
                 drain.drain()
             assert landed.done()
             assert drain.aggregator.merged().n_ingested == 300_000
+
+    @pytest.mark.parametrize("n_shards", [2, 3, 5])
+    def test_round_robin_keeps_every_shard_within_one_batch(self, n_shards):
+        """Submissions rotate over the shards, so after every submit the
+        shards' batch tallies differ by at most one — which is why the
+        collector grades no shard imbalance."""
+        spreads = []
+        with AggregatorDrain(
+            ShardedAggregator(_shards(13, n_shards)), record=True
+        ) as drain:
+            for labels, items in _batches():
+                drain.submit(labels, items)
+                tally = np.bincount(
+                    [shard for shard, _, _ in drain.drain_log],
+                    minlength=n_shards,
+                )
+                spreads.append(int(tally.max() - tally.min()))
+            drain.drain()
+        assert len(spreads) == 8
+        assert set(spreads) == {0, 1}
 
     def test_failed_drain_credits_what_landed(self):
         """The reports that landed count as drained and the bad batch's
@@ -444,40 +463,3 @@ class TestSessionDecay:
             for field in session._STATE_FIELDS
         )
         assert session.n_ingested == 0
-
-
-def _traced_spans(drain, batches, trace):
-    """Spans recorded while ``drain`` ingests ``batches`` under ``trace``."""
-    tracer = get_tracer()
-    with tracing_enabled():
-        tracer.ring.clear()
-        try:
-            with drain:
-                for labels, items in batches:
-                    drain.submit(labels, items, trace=trace)
-                drain.drain()
-            return tracer.ring.spans()
-        finally:
-            tracer.ring.clear()
-
-
-class TestDrainTracing:
-    def test_aggregator_drain_hands_the_trace_to_each_shard(self):
-        root = TraceContext.root()
-        drain = AggregatorDrain(ShardedAggregator(_shards(18, 2)))
-        spans = _traced_spans(drain, _batches(n=1024), root)
-        ingest = [span for span in spans if span["name"] == "shard.ingest"]
-        assert sorted(span["args"]["shard"] for span in ingest) == [0, 1]
-        assert all(span["parent_id"] == root.span_id for span in ingest)
-
-    def test_session_drain_records_one_span_per_batch(self):
-        root = TraceContext.root()
-        session = OnlineTopKSession(
-            k=2, epsilon=2.0, n_classes=3, n_items=32,
-            rng=np.random.default_rng(19),
-        )
-        spans = _traced_spans(SessionDrain(session), _batches(n=1024), root)
-        ingest = [span for span in spans if span["name"] == "session.ingest"]
-        assert len(ingest) == 2
-        assert all(span["trace_id"] == root.trace_id for span in ingest)
-        assert all(span["parent_id"] == root.span_id for span in ingest)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DomainError
-from repro.obs.trace import TraceContext, get_tracer, tracing_enabled
 from repro.rng import spawn
 from repro.stream import ShardedAggregator, default_shard_count, make_session
 from repro.stream import sharding
@@ -292,29 +291,3 @@ class TestDefaultShardCount:
     def test_one_per_cpu_capped_at_eight(self, monkeypatch, cpus, expected):
         monkeypatch.setattr(sharding.os, "cpu_count", lambda: cpus)
         assert default_shard_count() == expected
-
-
-class TestTracing:
-    def _spans(self, trace):
-        tracer = get_tracer()
-        with tracing_enabled():
-            tracer.ring.clear()
-            try:
-                with ShardedAggregator(_sessions(2)) as agg:
-                    for batch in _batches(n_batches=2):
-                        agg.submit(batch, trace=trace)
-                    agg.drain()
-                return tracer.ring.spans()
-            finally:
-                tracer.ring.clear()
-
-    def test_traced_submit_records_a_shard_ingest_span(self):
-        root = TraceContext.root()
-        spans = [s for s in self._spans(root) if s["name"] == "shard.ingest"]
-        assert sorted(span["args"]["shard"] for span in spans) == [0, 1]
-        assert all(span["cat"] == "shard" for span in spans)
-        assert all(span["trace_id"] == root.trace_id for span in spans)
-        assert all(span["parent_id"] == root.span_id for span in spans)
-
-    def test_untraced_submit_records_nothing(self):
-        assert self._spans(None) == []

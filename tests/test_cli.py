@@ -1,8 +1,10 @@
 """The repro-bench CLI and bench harness plumbing."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ import repro
 from repro.bench import EXPERIMENTS, format_table
 from repro.cli import main
 
-#: The legacy bench commands' flags, each with a value it once took.
+#: The legacy bench and ``obs`` commands' flags, each with a value it
+#: once took.
 REMOVED_FLAGS = (
     ("--users", "1000"),
     ("--shards", "2"),
@@ -23,6 +26,9 @@ REMOVED_FLAGS = (
     ("--high-water", "8192"),
     ("--coalesce", "8"),
     ("--flush-interval", "0.1"),
+    ("--format", "prom"),
+    ("--input", "snapshot.json"),
+    ("--output", "trace.json"),
 )
 
 
@@ -56,6 +62,26 @@ class TestImportFootprint:
             env=env, capture_output=True, text=True, check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    def test_layers_below_the_collector_take_only_log_event_from_obs(self):
+        """The collector owns the one metrics registry: ``mechanisms`` and
+        ``stream`` record no telemetry and import nothing from
+        ``repro.obs`` but the structured logger's ``log_event``."""
+        package = Path(repro.__file__).parent
+        imported = set()
+        for layer in ("mechanisms", "stream"):
+            for path in (package / layer).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.ImportFrom) and "obs" in (
+                        node.module or ""
+                    ).split("."):
+                        imported.update(alias.name for alias in node.names)
+                    elif isinstance(node, ast.Import):
+                        imported.update(
+                            alias.name for alias in node.names
+                            if alias.name.startswith("repro.obs")
+                        )
+        assert imported == {"log_event"}
 
 
 class TestRegistry:
@@ -96,19 +122,25 @@ class TestCLI:
         assert "Table II" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command", ["stream", "protocol", "serve", "drift", "top"]
+        "command",
+        ["stream", "protocol", "serve", "drift", "top", "obs dump", "obs trace"],
     )
     def test_legacy_bench_commands_and_flags_are_gone(self, capsys, command):
-        """Throughput is perfbench's job: the legacy bench commands (and
-        the deleted ``top`` console) are unknown experiments and their
-        flags are not options."""
-        assert main([command]) == 2
-        assert f"unknown experiment {command!r}" in capsys.readouterr().err
+        """Throughput is perfbench's job: the legacy bench commands, the
+        deleted ``top`` console and the deleted ``obs dump|trace`` are
+        refused, and their flags are not options."""
+        name, *action = command.split()
+        assert main([name]) == 2
+        assert f"unknown experiment {name!r}" in capsys.readouterr().err
         for flag, value in REMOVED_FLAGS:
             with pytest.raises(SystemExit) as exit_info:
-                main([command, flag, value])
+                main([name, *action, flag, value])
             assert exit_info.value.code == 2
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            unrecognized = " ".join([*action, flag])
+            assert (
+                f"unrecognized arguments: {unrecognized}"
+                in capsys.readouterr().err
+            )
 
     def test_list_names_exactly_the_paper_experiments(self, capsys):
         assert main(["--list"]) == 0
@@ -181,68 +213,6 @@ class TestCLI:
             build_serve_parser().parse_args(["--coalesce", "8"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --coalesce" in capsys.readouterr().err
-
-
-class TestObsCLI:
-    def test_dump_json_live_registry(self, capsys):
-        import json
-
-        assert main(["obs", "dump", "--format=json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["schema"] == 1
-        assert set(snapshot) == {"schema", "counters", "gauges", "histograms"}
-
-    def test_dump_prom_from_raw_snapshot(self, capsys, tmp_path):
-        import json
-
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry(enabled=True)
-        registry.histogram("stage_seconds").observe(0.25)
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps(registry.snapshot()))
-        assert main(["obs", "dump", "--format=prom", "--input", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE stage_seconds histogram" in out
-        assert "stage_seconds_count 1" in out
-
-    def test_dump_round_trips_a_live_snapshot_through_a_file(
-        self, capsys, tmp_path
-    ):
-        import json
-
-        from repro.obs import render_snapshot
-
-        assert main(["obs", "dump", "--format=json"]) == 0
-        text = capsys.readouterr().out
-        path = tmp_path / "snap.json"
-        path.write_text(text)
-        assert main(["obs", "dump", "--input", str(path)]) == 0
-        assert capsys.readouterr().out == text
-        assert main(["obs", "dump", "--format=prom", "--input", str(path)]) == 0
-        assert capsys.readouterr().out == render_snapshot(json.loads(text))
-
-    def test_dump_json_from_raw_snapshot(self, capsys, tmp_path):
-        import json
-
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("c").inc(5)
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps(registry.snapshot()))
-        assert main(["obs", "dump", "--input", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["counters"]["c"] == 5
-
-    @pytest.mark.parametrize(
-        "payload", ['{"tables": []}', "[1, 2]", "7"],
-        ids=["object", "list", "number"],
-    )
-    def test_dump_rejects_unrecognised_input(self, capsys, tmp_path, payload):
-        path = tmp_path / "other.json"
-        path.write_text(payload)
-        assert main(["obs", "dump", "--input", str(path)]) == 2
-        assert "not a registry snapshot" in capsys.readouterr().err
 
 
 class TestComplexityModel:

@@ -10,7 +10,16 @@ Every case below runs one seeded entry point and hashes what it returns:
   fills whole 8-bit words (64) and one that does not (257); the digest
   covers the session's integer state;
 * ``mine/<method>/<mode>`` — ``MultiClassTopK.mine`` for the paper's
-  five top-k methods in both modes; the digest covers the mined lists.
+  five top-k methods in both modes; the digest covers the mined lists;
+* ``serve/<session>`` — a recording :class:`~repro.serve.HostedSession`
+  fed fixed runs of REPORTS frame bodies, each run followed by an
+  explicit ``flush()``: framework cohorts of every framework in both
+  modes over 2 and 3 shards, decayed cohorts (which settle after every
+  run, so ageing lands between runs), and top-k miners under both
+  invalid-report modes and non-default ``keep``/``extension_bits``; the
+  digest covers every drain-log entry and the integer state
+  :func:`~repro.stream.replay_drain_log` rebuilds from the log, which
+  must equal the live state.
 
 A change that alters no law must leave every digest as it is.  The
 inputs are built with integer arithmetic only, so no platform's float
@@ -27,8 +36,10 @@ which prints the current version's entry for :data:`DIGESTS`.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -36,7 +47,16 @@ import pytest
 from repro.core.frameworks import make_framework
 from repro.core.topk import MultiClassTopK
 from repro.datasets import LabelItemDataset
-from repro.stream import make_session
+from repro.obs import MetricsRegistry
+from repro.rng import ensure_rng, spawn
+from repro.serve import SessionRegistry, protocol
+from repro.serve.registry import canonical_config
+from repro.stream import (
+    DECAY_EVENT,
+    OnlineTopKSession,
+    make_session,
+    replay_drain_log,
+)
 
 FRAMEWORKS = ("hec", "ptj", "pts", "pts-cp")
 MODES = ("simulate", "protocol")
@@ -106,6 +126,129 @@ def _mine(method: str, mode: str) -> str:
     return _digest(scheme.mine(dataset))
 
 
+#: Hosted-session configs (HELLO form) of the ``serve/`` cases.
+SERVED = {
+    "pts-2shards": dict(
+        session="golden-pts", framework="pts", epsilon=2.0, n_classes=5,
+        n_items=64, mode="protocol", seed=14, shards=2,
+    ),
+    "topk": dict(
+        session="golden-topk", kind="topk", k=4, epsilon=4.0, n_classes=3,
+        n_items=64, mode="protocol", seed=15,
+    ),
+    **{
+        f"{framework}/{mode}/shards=3": dict(
+            session="golden-shards", framework=framework, epsilon=2.0,
+            n_classes=5, n_items=64, mode=mode, seed=17, shards=3,
+        )
+        for framework in FRAMEWORKS
+        for mode in MODES
+    },
+    # A factor of 1/2 keeps the ageing exact: every compounded factor is
+    # a power of two, so no platform's float rounding enters the state.
+    **{
+        f"{framework}/decay": dict(
+            session="golden-decay", framework=framework, epsilon=2.0,
+            n_classes=5, n_items=64, mode="protocol", seed=18, shards=2,
+            decay=0.5, decay_every=1500,
+        )
+        for framework in FRAMEWORKS
+    },
+    **{
+        f"topk/{invalid_mode}/{mode}": dict(
+            session="golden-topk", kind="topk", k=4, epsilon=4.0,
+            n_classes=3, n_items=64, mode=mode, seed=19,
+            invalid_mode=invalid_mode,
+        )
+        for invalid_mode in ("random", "vp")
+        for mode in MODES
+    },
+    "topk/keep+extension_bits": dict(
+        session="golden-topk", kind="topk", k=4, epsilon=4.0, n_classes=3,
+        n_items=64, mode="protocol", seed=20, keep=6, extension_bits=2,
+        label_fraction=0.25,
+    ),
+}
+
+#: Frame sizes of each run buffered before one ``flush()``: an empty
+#: frame, a one-report frame, and runs longer than ``SERVE_FLUSH_REPORTS``
+#: so the flush cuts them into sub-batches over both shards.
+SERVE_ROUNDS = ((2500, 1, 700), (0,), (4096, 3000), (9,))
+SERVE_FLUSH_REPORTS = 1500
+
+
+def _served_log(config: dict) -> tuple[list, object]:
+    """The drain log of a recording hosted session fed
+    :data:`SERVE_ROUNDS`, and its live snapshot after settling."""
+    registry = SessionRegistry(
+        record=True, flush_reports=SERVE_FLUSH_REPORTS, metrics=MetricsRegistry()
+    )
+    hosted, _ = registry.open(config)
+    rng = np.random.default_rng(16)
+
+    async def feed():
+        for sizes in SERVE_ROUNDS:
+            bodies = [
+                protocol.encode_reports(
+                    rng.integers(0, config["n_classes"], size),
+                    rng.integers(0, config["n_items"], size),
+                )[5:]  # strip the length prefix and type byte
+                for size in sizes
+            ]
+            hosted.buffer_frames(bodies)
+            hosted.flush()
+            if "decay" in config:
+                await hosted.settle()
+        await hosted.settle()
+
+    try:
+        asyncio.run(feed())
+        return list(hosted.drain_log), hosted._drain.snapshot()
+    finally:
+        registry.close()
+
+
+def _serve(name: str) -> str:
+    config = canonical_config(SERVED[name])
+    log, live = _served_log(SERVED[name])
+    if config["kind"] == "topk":
+        [replayed] = replay_drain_log(log, [OnlineTopKSession(
+            k=config["k"], epsilon=config["epsilon"],
+            n_classes=config["n_classes"], n_items=config["n_items"],
+            label_fraction=config["label_fraction"], keep=config["keep"],
+            extension_bits=config["extension_bits"],
+            invalid_mode=config["invalid_mode"],
+            mode=config["mode"], rng=ensure_rng(config["seed"]),
+        )])
+        state = lambda miner: [  # noqa: E731
+            np.int64(miner.n_ingested), miner._round_class_n,
+            *miner._candidates, *miner._support,
+        ]
+    else:
+        shards = replay_drain_log(log, [
+            make_session(
+                config["framework"], config["epsilon"], config["n_classes"],
+                config["n_items"], mode=config["mode"], rng=child,
+                label_fraction=config["label_fraction"],
+            )
+            for child in spawn(ensure_rng(config["seed"]), config["shards"])
+        ])
+        replayed = reduce(lambda a, b: a.merge(b), shards)
+        state = lambda session: [  # noqa: E731
+            np.int64(session.n_ingested),
+            *(getattr(session, "_" + field) for field in session._STATE_FIELDS),
+        ]
+    for got, want in zip(state(replayed), state(live)):
+        np.testing.assert_array_equal(got, want)
+    entries = [
+        # A decay event hashes as its compounded factor.
+        (np.float64(labels),) if shard == DECAY_EVENT
+        else (np.int64(shard), labels, items)
+        for shard, labels, items in log
+    ]
+    return _digest(*(part for entry in entries for part in entry), *state(replayed))
+
+
 CASES = {
     **{
         f"estimate/{framework}/{mode}": (_estimate, framework, mode)
@@ -122,6 +265,7 @@ CASES = {
         for method in METHODS
         for mode in MODES
     },
+    **{f"serve/{name}": (_serve, name) for name in SERVED},
 }
 
 
@@ -151,6 +295,25 @@ DIGESTS: dict[str, dict[str, str]] = {
         "mine/PTS-Shuffling+VP+CP/simulate": "8b1a88a7020b7e91e637a8a12ca7f6f273c7f696ac6a9c278fb357b87b57f408",
         "mine/PTS/protocol": "e06a963514c447b585b79dc2433831aad2a25637f9b468e88954c9cadd1adfe0",
         "mine/PTS/simulate": "fd20559903c2c7a9ba3a1ad27688cb0d7a0236f1ced5cc774e96bb5d4204041d",
+        "serve/hec/decay": "7dd6e484b7777f8042f3e070b7513c55090126bdb1ac8942ad5fe7292ff0c07c",
+        "serve/hec/protocol/shards=3": "65ca1413e043c77bf298bfd67dad990509091f1375527a64e3f0d565993b0c9a",
+        "serve/hec/simulate/shards=3": "3de4b2f609d0d320d25d1b65f68ef15580bff23f17bfa36d88abe5698c41c120",
+        "serve/ptj/decay": "99aae4c335703b76651a01b594c2e9091b22073e5f1d6a3bd447e6362bf83d54",
+        "serve/ptj/protocol/shards=3": "fdfc36418501e51721cfbaf96993e65a2658bfa5b559490ce3c7b005b3d0b3d1",
+        "serve/ptj/simulate/shards=3": "8da0039f601113f322156017966075a2a7a16c44d1c530d738ae1b5fb3633dd8",
+        "serve/pts-2shards": "250434e2f0d5b61b61552d187430878bf6d019b334c1acd448e06daf498b8ec7",
+        "serve/pts-cp/decay": "d0d3e6a23f1bf44d0a217b215249202463fe9a00fbb0ec8a42ee87cd786cc214",
+        "serve/pts-cp/protocol/shards=3": "b122a46a7a9482fd563069c30661becfa8db5969f26662759d832f8f494626ab",
+        "serve/pts-cp/simulate/shards=3": "05105bea555c85d76309f1f1395d3039720c225b0daf81243cc88ad5c2e7e1f2",
+        "serve/pts/decay": "af56ceb2c7d6c848456ab6d1be4ae686f5b67f0448c00cbd0e4aca9f001554ea",
+        "serve/pts/protocol/shards=3": "9c7c35e72d00555dc4831a9f1015f7f1a12ede662db26945d042bbc303427fd2",
+        "serve/pts/simulate/shards=3": "a3e28c8663f2a80a8919bf915e254dc0c9af9324a58d41da7a900fd3df2a22ab",
+        "serve/topk": "c6e0a5f1337120ee7bcea381536dc9eebcd115661ff15e46650950239011852a",
+        "serve/topk/keep+extension_bits": "33683b4a63207c0f66e2af7bf1e68659f12e4640f4a4505f6bd2e6b021e3a5a1",
+        "serve/topk/random/protocol": "9e93dbb5bc9ff1aec2da9bf5cad45e9f176290d9c93bde5c1cd75b1420f808d1",
+        "serve/topk/random/simulate": "c85b59bca7125f4433521d8e45c15ca0516d6ec13a2b7cfd6f4c6e5672059d48",
+        "serve/topk/vp/protocol": "613bdf2ddea689f05f921c4f97571fa6fd3ae7c301eb955f3b99d1ca0bfe796c",
+        "serve/topk/vp/simulate": "0afa7a93a3cb00ae2517ef7ed29f3651f487d9487cc3537f620a0c61e3ba2979",
         "session/hec/d=257": "1ba6ef796e7079cbf0720a9702be623e92d66500107f0865d21b978a3d0f9c54",
         "session/hec/d=64": "f076250e7bd3096e8bac0f2c83e8a575523c9c9b3453b2c1c16cdc4764ba36fc",
         "session/ptj/d=257": "8684982bf0463a56559195f26f38a063d4fe2dca38a3f93e2718d16ee419468f",
